@@ -7,13 +7,14 @@ Exit codes: 0 = identity (or plain success for non-verify commands),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from .algebra import Expression, LegalityError, normalize, stuffle_product
 from .identities import METHODS, hoffman_identity, verify
 from .indexsets import full_universe, indices_of
-from .numeric import DEFAULT_TRUNCATION, eval_expression, residual_report
+from .numeric import DEFAULT_TRUNCATION, residuals, term_values
 from .parsing import (
     ParseError,
     atom_text,
@@ -133,9 +134,9 @@ def _cmd_rational(args) -> int:
 def _cmd_eval(args) -> int:
     expr = _load_expression(args.expr)
     assign = _parse_assignment(args.assign)
-    value = eval_expression(expr, assign, args.N)
-    absres, relres = residual_report(expr, assign, args.N)
-    print(f"value: {value!r}")
+    values = term_values(expr, assign, args.N)
+    absres, relres = residuals(values)
+    print(f"value: {math.fsum(values)!r}")
     print(f"absolute residual: {absres:.6e}")
     print(f"relative residual: {relres:.6e}")
     return 0

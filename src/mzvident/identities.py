@@ -25,7 +25,7 @@ from .algebra import (
 from .indexsets import full_universe
 from .numeric import DEFAULT_TRUNCATION, ROUNDING_TOL, random_assignment, residual_report
 from .partitions import unordered_set_partitions
-from .ratfun import is_zero_combination, rational_terms_of_expression
+from .ratfun import ZeroTestTooLarge, is_zero_combination, rational_terms_of_expression
 
 HOFFMAN_CAP = 7
 
@@ -42,6 +42,7 @@ class IdentityReport:
     agreement: bool
     numeric_residual: Optional[float] = None
     per_method: dict[str, bool] = field(default_factory=dict)
+    skipped: dict[str, str] = field(default_factory=dict)  # method -> reason
 
     @property
     def is_identity(self) -> bool:
@@ -94,9 +95,11 @@ def verify(
     """Run the requested verification methods and collate a report.
 
     The canonical method is authoritative for the verdict; if it was not
-    requested it is run anyway to decide.  The numeric method compares the
-    relative residual of seeded random evaluations against `numeric_tol`
-    and never overrides exact verdicts.
+    requested it is run anyway to decide.  The rational method is skipped,
+    with its reason recorded, when its size estimate exceeds the budget.
+    The numeric method compares the relative residual of seeded random
+    evaluations against `numeric_tol` and never overrides exact verdicts.
+    `agreement` covers the methods that ran.
     """
     methods = list(methods)
     for m in methods:
@@ -105,12 +108,16 @@ def verify(
 
     ok, witness = is_partition_identity(expr)
     per_method: dict[str, bool] = {}
+    skipped: dict[str, str] = {}
     if "canonical" in methods:
         per_method["canonical"] = ok
 
     if "rational" in methods:
         rats = rational_terms_of_expression(expr.terms.items())
-        per_method["rational"] = is_zero_combination(rats, expr.universe.bit_length())
+        try:
+            per_method["rational"] = is_zero_combination(rats, expr.universe.bit_length())
+        except ZeroTestTooLarge as e:
+            skipped["rational"] = e.reason
 
     residual: Optional[float] = None
     if "numeric" in methods:
@@ -131,6 +138,7 @@ def verify(
         agreement=agreement,
         numeric_residual=residual,
         per_method=per_method,
+        skipped=skipped,
     )
 
 

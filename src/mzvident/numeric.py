@@ -25,6 +25,8 @@ def check_assignment(assign: Assignment, universe: int) -> None:
     for j in indices_of(universe):
         if j not in assign:
             raise ValueError(f"no value assigned to s{j}")
+        if not math.isfinite(assign[j]):
+            raise ValueError(f"s{j} must be finite")
         if assign[j] <= 1:
             raise ValueError(f"s{j} must exceed 1")
 
@@ -65,20 +67,27 @@ def eval_term(term, assign: Assignment, n_trunc: int) -> float:
     return value
 
 
+def term_values(expr: Expression, assign: Assignment, n_trunc: int) -> list[float]:
+    """Value of each term, coefficient included, at a truncation level."""
+    check_assignment(assign, expr.universe)
+    return [coeff * eval_term(term, assign, n_trunc) for term, coeff in expr.terms.items()]
+
+
 def eval_expression(expr: Expression, assign: Assignment, n_trunc: int) -> float:
     """Evaluate a legal expression at a truncation level."""
-    check_assignment(assign, expr.universe)
-    return math.fsum(
-        coeff * eval_term(term, assign, n_trunc) for term, coeff in expr.terms.items()
-    )
+    return math.fsum(term_values(expr, assign, n_trunc))
 
 
 def residual_report(
     expr: Expression, assign: Assignment, n_trunc: int
 ) -> tuple[float, float]:
     """(absolute residual, residual relative to the sum of term magnitudes)."""
-    check_assignment(assign, expr.universe)
-    values = [coeff * eval_term(term, assign, n_trunc) for term, coeff in expr.terms.items()]
+    return residuals(term_values(expr, assign, n_trunc))
+
+
+def residuals(values: Sequence[float]) -> tuple[float, float]:
+    """(absolute residual, residual relative to the sum of term magnitudes)
+    of the term values `values`."""
     magnitude = math.fsum(abs(v) for v in values)
     if magnitude == 0.0:
         return 0.0, 0.0

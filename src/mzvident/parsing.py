@@ -134,20 +134,24 @@ class _Parser:
             atoms.append(self.parse_factor())
         return coeff, atoms
 
-    def parse_expr(self) -> list[tuple[int, list[ZetaAtom]]]:
+    def parse_expr(self) -> tuple[list[tuple[int, list[ZetaAtom]]], list[int]]:
+        """(coefficient, atoms) entries and the start position of each term."""
         entries = []
+        starts = []
         sign = 1
         if self.peek()[:2] == ("op", "-"):
             self.next()
             sign = -1
+        starts.append(self.peek()[2])
         coeff, atoms = self.parse_term()
         entries.append((sign * coeff, atoms))
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
             sign = 1 if self.next()[1] == "+" else -1
+            starts.append(self.peek()[2])
             coeff, atoms = self.parse_term()
             entries.append((sign * coeff, atoms))
         self.expect("eof")
-        return entries
+        return entries, starts
 
 
 def parse(text: str, universe: Optional[int] = None) -> Expression:
@@ -156,7 +160,7 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
     if text.strip() == "0":
         return Expression(declared or 0, {})
     parser = _Parser(text)
-    entries = parser.parse_expr()
+    entries, starts = parser.parse_expr()
     supports = []
     for _, atoms in entries:
         m = 0
@@ -165,9 +169,9 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
                 m |= block
         supports.append(m)
     inferred = supports[0]
-    for s in supports[1:]:
+    for s, pos in zip(supports, starts):
         if s != inferred:
-            raise ParseError("terms over different variable sets", 0)
+            raise ParseError("terms over different variable sets", pos)
     target = declared if declared is not None else inferred
     try:
         return Expression.build(target, entries)
@@ -225,7 +229,10 @@ def stuffle_text(result: StuffleResult) -> str:
 def report_text(report: IdentityReport) -> str:
     lines = [f"verdict: {report.verdict}"]
     for m in report.methods_run:
-        lines.append(f"method {m}: {'identity' if report.per_method[m] else 'not-identity'}")
+        if m in report.skipped:
+            lines.append(f"method {m}: skipped ({report.skipped[m]})")
+        else:
+            lines.append(f"method {m}: {'identity' if report.per_method[m] else 'not-identity'}")
     if report.numeric_residual is not None:
         lines.append(f"numeric relative residual: {report.numeric_residual:.3e}")
     lines.append(f"agreement: {'yes' if report.agreement else 'no'}")
@@ -281,9 +288,11 @@ def report_json(report: IdentityReport) -> dict:
     out: dict = {
         "kind": "report",
         "verdict": report.verdict,
-        "methods": {m: report.per_method[m] for m in report.methods_run},
+        "methods": dict(report.per_method),
         "agreement": report.agreement,
     }
+    if report.skipped:
+        out["skipped"] = dict(report.skipped)
     if report.numeric_residual is not None:
         out["numeric_residual"] = report.numeric_residual
     if report.witness is not None:

@@ -4,12 +4,18 @@ Each legal term maps to a product of reciprocals of factors of the form
 (prod_{j in S} x_j - 1), one factor per prefix-union of blocks within each
 atom.  A linear combination of such terms vanishes identically iff, after
 clearing the least common denominator, the numerator polynomial is zero.
-Everything here is exact integer arithmetic; the probabilistic test uses
-exact rationals and serves only as a fast pre-filter.
+
+The exact test packs that numerator into a single integer by Kronecker
+substitution (D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 44, 2009): x_j -> 2^(k*stride_j)
+with mixed-radix strides from the LCD degrees, and a digit width k that
+bounds every coefficient, so the integer is 0 iff the polynomial is.  The
+probabilistic test uses exact rationals and serves only as a fast pre-filter.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,69 +24,22 @@ from typing import Iterable, Mapping, Sequence
 from .algebra import LegalTerm
 from .indexsets import indices_of
 
-# Sparse polynomial: map from exponent tuple (one slot per variable) to a
-# nonzero integer coefficient.  The zero polynomial is the empty dict.
-Monomial = tuple[int, ...]
-Polynomial = dict[Monomial, int]
-
 # A rational term is a product of denominator factors: support mask -> power.
 RationalTermRep = Counter
 
-
-def poly_zero() -> Polynomial:
-    return {}
-
-
-def poly_const(c: int, nvars: int) -> Polynomial:
-    return {(0,) * nvars: c} if c else {}
+# Largest packed numerator, in bits, the exact zero test will build.  It
+# admits Hoffman n=5 (about 5.7e7 bits) and refuses n=6 (about 9.7e10).
+KRONECKER_BUDGET_BITS = 1 << 28
 
 
-def _check_same_arity(a: Polynomial, b: Polynomial) -> None:
-    if a and b:
-        la = len(next(iter(a)))
-        lb = len(next(iter(b)))
-        if la != lb:
-            raise ValueError("polynomial universe mismatch")
+class ZeroTestTooLarge(ValueError):
+    """The packed numerator would exceed KRONECKER_BUDGET_BITS."""
 
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    _check_same_arity(a, b)
-    out = dict(a)
-    for mono, c in b.items():
-        s = out.get(mono, 0) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def poly_scale(a: Polynomial, k: int) -> Polynomial:
-    if k == 0:
-        return {}
-    return {mono: k * c for mono, c in a.items()}
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    _check_same_arity(a, b)
-    out: Polynomial = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-            s = out.get(mono, 0) + c1 * c2
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def factor_poly(support: int, nvars: int) -> Polynomial:
-    """The polynomial (prod_{j in support} x_j) - 1."""
-    mono = [0] * nvars
-    for j in indices_of(support):
-        mono[j - 1] = 1
-    return poly_add({tuple(mono): 1}, poly_const(-1, nvars))
+    def __init__(self, estimate: int, budget: int):
+        self.estimate = estimate
+        self.budget = budget
+        self.reason = f"estimate {estimate} bits > budget {budget} bits"
+        super().__init__(f"rational zero test refused: {self.reason}")
 
 
 def rational_term_of(term: LegalTerm) -> RationalTermRep:
@@ -107,25 +66,68 @@ def _lcd(terms: Sequence[tuple[int, Mapping[int, int]]]) -> Counter:
     return lcd
 
 
+def kronecker_layout(
+    terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int
+) -> tuple[list[tuple[int, int, int]], int]:
+    """(support, LCD power, shift) per LCD factor, and the size estimate in
+    bits of the packed numerator.
+
+    The cleared numerator has degree at most d_j in x_j, where d_j is the
+    sum of lcd[S] over the supports S containing j, so x_j -> 2^(k*stride_j)
+    with stride_j = prod_{i<j} (d_i + 1) sends distinct monomials to
+    distinct base-2^k digits.  A term with total deficit D contributes coefficients
+    of absolute value at most |c| * 2^D, so with
+    k = bits(sum |c|) + max D + 2 every coefficient lies below 2^(k-1) and
+    the signed digits are unique.  The packed integer has at most
+    k * prod (d_j + 1) bits.  Factors come in ascending shift order, which
+    keeps the partial products short for longest.
+    """
+    lcd = _lcd(terms)
+    degrees = [0] * nvars
+    for support, mult in lcd.items():
+        for j in indices_of(support):
+            degrees[j - 1] += mult
+    strides = []
+    slots = 1
+    for d in degrees:
+        strides.append(slots)
+        slots *= d + 1
+    total = sum(lcd.values())
+    max_deficit = max((total - sum(f.values()) for _, f in terms), default=0)
+    k = sum(abs(c) for c, _ in terms).bit_length() + max_deficit + 2
+    factors = [
+        (s, m, k * sum(strides[j - 1] for j in indices_of(s))) for s, m in lcd.items()
+    ]
+    factors.sort(key=lambda f: f[2])
+    return factors, k * slots
+
+
 def is_zero_combination(
     terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int
 ) -> bool:
-    """Exact zero test by clearing denominators and expanding.
+    """Exact zero test of the cleared numerator, packed into one integer.
 
     `terms` are (integer coefficient, denominator factorization) pairs over
-    the same nvars-variable universe.
+    the same nvars-variable universe.  Each factor x^S - 1 acts on the
+    packed value v as (v << shift_S) - v.  Raises ZeroTestTooLarge, before
+    any packing, when the size estimate exceeds KRONECKER_BUDGET_BITS.
     """
-    lcd = _lcd(terms)
-    total: Polynomial = {}
+    layout, estimate = kronecker_layout(terms, nvars)
+    if estimate > KRONECKER_BUDGET_BITS:
+        raise ZeroTestTooLarge(estimate, KRONECKER_BUDGET_BITS)
+    total = 0
     for coeff, factors in terms:
-        numer = poly_const(coeff, nvars)
-        for support, mult in lcd.items():
-            deficit = mult - factors.get(support, 0)
-            fp = factor_poly(support, nvars)
-            for _ in range(deficit):
-                numer = poly_mul(numer, fp)
-        total = poly_add(total, numer)
-    return not total
+        v = coeff
+        for support, mult, shift in layout:
+            for _ in range(mult - factors.get(support, 0)):
+                v = (v << shift) - v
+        total += v
+    return total == 0
+
+
+def _factor_value(support: int, point: Sequence[Fraction]) -> Fraction:
+    """(prod_{j in support} x_j) - 1 at an exact rational point."""
+    return math.prod((point[j - 1] for j in indices_of(support)), start=Fraction(1)) - 1
 
 
 def _term_value(
@@ -133,10 +135,7 @@ def _term_value(
 ) -> Fraction:
     val = Fraction(coeff)
     for support, mult in factors.items():
-        prod = Fraction(1)
-        for j in indices_of(support):
-            prod *= point[j - 1]
-        val /= (prod - 1) ** mult
+        val /= _factor_value(support, point) ** mult
     return val
 
 
@@ -165,36 +164,28 @@ def probabilistic_zero_test(
 
 
 def evaluate_cleared_numerator(
-    terms: Sequence[tuple[int, Mapping[int, int]]],
-    nvars: int,
-    point: Sequence[Fraction],
+    terms: Sequence[tuple[int, Mapping[int, int]]], point: Sequence[Fraction]
 ) -> tuple[Fraction, Fraction]:
     """(numerator value, LCD value) at an exact rational point.
 
-    Exposed for the exactness property: numerator == LCD * sum of terms.
+    Each term's cleared numerator, c * prod_S (x^S - 1)^(lcd[S] - m(S)), is
+    evaluated at the point directly.  Exposed for the exactness property:
+    numerator == LCD * sum of terms.
     """
     lcd = _lcd(terms)
-    lcd_val = Fraction(1)
-    for support, mult in lcd.items():
-        prod = Fraction(1)
-        for j in indices_of(support):
-            prod *= point[j - 1]
-        lcd_val *= (prod - 1) ** mult
-    total: Polynomial = {}
-    for coeff, factors in terms:
-        numer = poly_const(coeff, nvars)
-        for support, mult in lcd.items():
-            deficit = mult - factors.get(support, 0)
-            fp = factor_poly(support, nvars)
-            for _ in range(deficit):
-                numer = poly_mul(numer, fp)
-        total = poly_add(total, numer)
-    num_val = Fraction(0)
-    for mono, c in total.items():
-        v = Fraction(c)
-        for e, x in zip(mono, point):
-            v *= x**e
-        num_val += v
+    values = {support: _factor_value(support, point) for support in lcd}
+    lcd_val = math.prod((values[s] ** m for s, m in lcd.items()), start=Fraction(1))
+    num_val = sum(
+        (
+            coeff
+            * math.prod(
+                (values[s] ** (m - factors.get(s, 0)) for s, m in lcd.items()),
+                start=Fraction(1),
+            )
+            for coeff, factors in terms
+        ),
+        Fraction(0),
+    )
     return num_val, lcd_val
 
 

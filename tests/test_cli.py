@@ -1,6 +1,9 @@
 import json
 
+import mzvident.numeric
 from mzvident.cli import cli_main
+from mzvident.identities import hoffman_identity
+from mzvident.parsing import serialize
 
 EXAMPLE_TEXT = (
     "2*zeta(s1+s2+s3) - zeta(s2)*zeta(s1+s3) - zeta(s3)*zeta(s1+s2)"
@@ -56,6 +59,7 @@ def test_verify_structured_format(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "identity"
     assert doc["agreement"] is True
+    assert "skipped" not in doc
 
 
 def test_verify_structured_byte_stable(capsys):
@@ -122,6 +126,12 @@ def test_rational_check_identity(capsys):
     assert "zero combination: yes" in out
 
 
+def test_rational_check_over_budget(capsys):
+    code, _, err = run(capsys, "rational", serialize(hoffman_identity(6)), "--check")
+    assert code == 2
+    assert "rational zero test refused: estimate " in err and " bits > budget " in err
+
+
 def test_eval_command(capsys):
     code, out, _ = run(capsys, "eval", "zeta(s1)", "--assign", "s1=2", "--N", "3")
     assert code == 0
@@ -133,6 +143,28 @@ def test_eval_bad_assignment(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "zeta(s1)", "--assign", "q1=2")
     assert code == 2
+
+
+def test_eval_non_finite_assignment(capsys):
+    for value in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", f"s1={value}")
+        assert code == 2
+        assert "finite" in err and out == ""
+
+
+def test_eval_evaluates_each_term_once(capsys, monkeypatch):
+    calls = []
+    real = mzvident.numeric.eval_term
+
+    def counting(term, assign, n_trunc):
+        calls.append(term)
+        return real(term, assign, n_trunc)
+
+    monkeypatch.setattr(mzvident.numeric, "eval_term", counting)
+    code, out, _ = run(capsys, "eval", EXAMPLE_TEXT, "--assign", "s1=2,s2=3,s3=2.5")
+    assert code == 0
+    assert len(calls) == 7 == len(set(calls))
+    assert "absolute residual" in out
 
 
 def test_env_seed_override(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import random
 from math import factorial
 
@@ -15,7 +16,7 @@ from mzvident.identities import (
     verify,
 )
 from mzvident.indexsets import full_universe, mask_of
-from mzvident.parsing import parse
+from mzvident.parsing import parse, serialize
 from mzvident.partitions import bell_count
 from mzvident.ratfun import is_zero_combination, rational_terms_of_expression
 
@@ -123,6 +124,19 @@ def test_verify_hoffman4_canonical_rational():
     assert report.verdict == "identity"
     assert report.agreement
     assert report.numeric_residual is None
+
+
+def test_verify_hoffman6_skips_rational():
+    report = verify(hoffman_identity(6))
+    assert report.verdict == "identity"
+    assert list(report.per_method) == ["canonical", "numeric"]
+    assert report.skipped["rational"].startswith("estimate ")
+    assert report.agreement
+    text = serialize(report)
+    assert f"method rational: skipped ({report.skipped['rational']})" in text
+    doc = json.loads(serialize(report, "structured"))
+    assert doc["skipped"] == report.skipped
+    assert "rational" not in doc["methods"]
 
 
 def test_verify_perturbed_stuffle_identity():

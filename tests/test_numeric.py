@@ -91,6 +91,9 @@ def test_assignment_validation():
         eval_expression(expr, {1: 2.0}, 10)
     with pytest.raises(ValueError, match="exceed 1"):
         eval_expression(expr, {1: 2.0, 2: 0.5}, 10)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            residual_report(expr, {1: 2.0, 2: bad}, 10)
 
 
 EXAMPLE_TEXT = (

@@ -71,6 +71,13 @@ def test_parse_variable_index_zero():
 def test_parse_terms_over_different_variables():
     with pytest.raises(ParseError, match="different variable sets"):
         parse("zeta(s1) + zeta(s2)")
+    # The position is that of the first term whose variables differ.
+    with pytest.raises(ParseError, match="at position 11") as info:
+        parse("zeta(s1) + zeta(s1,s2)")
+    assert info.value.pos == 11
+    with pytest.raises(ParseError) as info:
+        parse("-zeta(s1,s2) - 2*zeta(s2)*zeta(s1) + 3*zeta(s1)")
+    assert info.value.pos == 37
 
 
 def test_parse_syntax_error_position():

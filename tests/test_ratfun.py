@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -6,18 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mzvident.algebra import is_partition_identity
-from mzvident.identities import random_expression
-from mzvident.indexsets import full_universe, mask_of
+from mzvident.algebra import Expression, is_partition_identity
+from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
+from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.parsing import parse
+from mzvident.partitions import ordered_set_partitions
 from mzvident.ratfun import (
+    KRONECKER_BUDGET_BITS,
+    ZeroTestTooLarge,
     evaluate_cleared_numerator,
-    factor_poly,
     is_zero_combination,
-    poly_add,
-    poly_const,
-    poly_mul,
-    poly_scale,
+    kronecker_layout,
     probabilistic_zero_test,
     rational_term_of,
     rational_terms_of_expression,
@@ -26,39 +26,6 @@ from mzvident.ratfun import (
 
 def blk(*idx):
     return mask_of(idx)
-
-
-# --- polynomial ring -------------------------------------------------------
-
-
-def test_poly_basics():
-    x1_minus_1 = factor_poly(blk(1), 1)
-    assert poly_add(x1_minus_1, poly_const(1, 1)) == {(1,): 1}
-    x1_plus_1 = poly_add({(1,): 1}, poly_const(1, 1))
-    assert poly_mul(x1_minus_1, x1_plus_1) == {(2,): 1, (0,): -1}
-    assert poly_scale({(1, 1): 1, (0, 0): -1}, 0) == {}
-
-
-def test_poly_universe_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        poly_add({(1,): 1}, {(1, 0): 1})
-    with pytest.raises(ValueError, match="mismatch"):
-        poly_mul({(1,): 1}, {(1, 0): 1})
-
-
-def small_polys(nvars=3):
-    mono = st.tuples(*[st.integers(0, 3)] * nvars)
-    return st.dictionaries(mono, st.integers(-5, 5).filter(bool), max_size=4)
-
-
-@given(small_polys(), small_polys(), small_polys())
-@settings(max_examples=60, deadline=None)
-def test_ring_axioms(a, b, c):
-    assert poly_add(a, b) == poly_add(b, a)
-    assert poly_mul(a, b) == poly_mul(b, a)
-    assert poly_add(poly_add(a, b), c) == poly_add(a, poly_add(b, c))
-    assert poly_mul(poly_mul(a, b), c) == poly_mul(a, poly_mul(b, c))
-    assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
 
 
 # --- rational term construction -------------------------------------------
@@ -152,7 +119,7 @@ def test_exactness_of_cleared_numerator():
         expr = random_expression(full_universe(n), rng)
         terms = rational_terms_of_expression(expr.terms.items())
         point = [1 + Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        num, lcd = evaluate_cleared_numerator(terms, n, point)
+        num, lcd = evaluate_cleared_numerator(terms, point)
         direct = Fraction(0)
         for coeff, factors in terms:
             v = Fraction(coeff)
@@ -173,3 +140,112 @@ def test_theorem_agreement_random():
         expr = random_expression(full_universe(n), rng)
         terms = rational_terms_of_expression(expr.terms.items())
         assert is_zero_combination(terms, n) == is_partition_identity(expr)[0]
+
+
+# --- Kronecker packing -----------------------------------------------------
+
+
+def rats_of(expr):
+    return rational_terms_of_expression(expr.terms.items())
+
+
+def sympy_is_zero(terms, n):
+    """Test-only oracle: put the sum over a common denominator with sympy."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{n + 1}")
+    total = 0
+    for coeff, factors in terms:
+        term = sympy.Integer(coeff)
+        for support, mult in factors.items():
+            term /= (sympy.Mul(*(xs[j - 1] for j in indices_of(support))) - 1) ** mult
+        total += term
+    return sympy.cancel(sympy.together(total)) == 0
+
+
+def random_identity(n, rng):
+    """A stuffle identity zeta(u)*zeta(v) - expansion over s1..sn, or Hoffman's."""
+    if n == 1 or rng.random() < 0.25:
+        return hoffman_identity(n)
+    parts = rng.choice(ordered_set_partitions(full_universe(n)))
+    cut = rng.randint(1, len(parts) - 1) if len(parts) > 1 else 1
+    return stuffle_identity(parts[:cut], parts[cut:])
+
+
+def test_agrees_with_sympy_oracle():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        expr = random_expression(full_universe(n), rng)
+        if rng.random() < 0.5:
+            expr = random_identity(n, rng).scale(rng.randint(1, 5)) + expr.scale(
+                rng.randint(0, 1)
+            )
+        terms = rats_of(expr)
+        assert is_zero_combination(terms, n) == sympy_is_zero(terms, n)
+
+
+def test_budget_separates_hoffman_five_and_six():
+    estimates = {n: kronecker_layout(rats_of(hoffman_identity(n)), n)[1] for n in (4, 5, 6)}
+    assert estimates[4] < estimates[5] <= KRONECKER_BUDGET_BITS < estimates[6]
+
+
+def test_over_budget_refused_before_packing():
+    terms = rats_of(hoffman_identity(6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ZeroTestTooLarge) as info:
+            is_zero_combination(terms, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.estimate > KRONECKER_BUDGET_BITS == info.value.budget
+    assert str(info.value.estimate) in str(info.value)
+    # The packed numerator alone would take estimate / 8 bytes (about 12 GB).
+    assert peak < 1 << 20
+
+
+def test_no_false_zero_from_digit_overflow():
+    # a/(x-1) + b/(x-1)^2 has numerator a*x + (b - a), which a too narrow
+    # digit width B would send to 0 whenever b = a*(1 - B).
+    for j in range(200):
+        for a in (1, -3):
+            terms = [(a, Counter({blk(1): 1})), (a * (1 - 2**j), Counter({blk(1): 2}))]
+            assert not is_zero_combination(terms, 1)
+
+
+EXTREME = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.integers(0, 140).map(lambda e: 2**e),
+    st.integers(0, 140).map(lambda e: -(2**e)),
+)
+
+
+@given(
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+    st.lists(EXTREME, min_size=1, max_size=3),
+    st.integers(-1, 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_extreme_coefficients_match_canonical(n, seed, coeffs, bump):
+    rng = random.Random(seed)
+    expr = Expression(full_universe(n), {})
+    for c in coeffs:
+        expr = expr + random_identity(n, rng).scale(c)
+    term = next(iter(random_expression(full_universe(n), rng, max_terms=1, coeff_range=(1, 1)).terms))
+    expr = expr + Expression(expr.universe, {term: bump})
+    assert is_zero_combination(rats_of(expr), n) == is_partition_identity(expr)[0]
+    # c*T - c*T + T, kept as separate rational terms, is T.
+    t = rational_term_of(term)
+    for c in coeffs:
+        assert is_zero_combination([(c, t), (-c, t)], n)
+        assert not is_zero_combination([(c, t), (-c, t), (1, t)], n)
+
+
+@given(st.integers(1, 4), st.integers(0, 2**32), EXTREME)
+@settings(max_examples=60, deadline=None)
+def test_vote_unchanged_by_adding_identity(n, seed, k):
+    rng = random.Random(seed)
+    expr = random_expression(full_universe(n), rng)
+    shifted = expr + random_identity(n, rng).scale(k)
+    assert is_zero_combination(rats_of(shifted), n) == is_zero_combination(rats_of(expr), n)
