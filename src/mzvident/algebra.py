@@ -166,28 +166,37 @@ def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
 
     Implements the three-branch recursion: take the head of u, take the
     head of v, or merge both heads (block union standing in for the sum
-    of two scalar arguments), with u * () = () * u = {u}.
+    of two scalar arguments), with u * () = () * u = {u}.  Disjoint
+    non-empty blocks make every multiplicity 1.
     """
     if atom_support(u) & atom_support(v):
         raise LegalityError("operands share a variable")
-    return _stuffle(u, v)
+    return Counter(_stuffle_words(u, v))
 
 
-def _stuffle(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
-    if not u:
-        return Counter({v: 1})
-    if not v:
-        return Counter({u: 1})
-    s, ru = u[0], u[1:]
-    t, rv = v[0], v[1:]
-    out: StuffleResult = Counter()
-    for w, m in _stuffle(ru, v).items():
-        out[(s,) + w] += m
-    for w, m in _stuffle(u, rv).items():
-        out[(t,) + w] += m
-    for w, m in _stuffle(ru, rv).items():
-        out[(s | t,) + w] += m
-    return out
+def _stuffle_words(u: ZetaAtom, v: ZetaAtom) -> list[ZetaAtom]:
+    """Words of the stuffle of disjoint u and v, each listed once.
+
+    Iterative form of the head-first recursion over the suffix grid:
+    cell (i, j) holds the words of u[i:] * v[j:], built from cells
+    (i+1, j), (i, j+1) and (i+1, j+1); only two rows are kept.  The
+    result is in the recursion's order.  Because blocks are disjoint and
+    non-empty, a word determines its interleaving, so no word repeats.
+    """
+    n = len(v)
+    below = [[v[j:]] for j in range(n + 1)]  # row i = len(u): () * v[j:]
+    for i in range(len(u) - 1, -1, -1):
+        a = u[i]
+        row = [None] * n + [[u[i:]]]  # column n: u[i:] * ()
+        for j in range(n - 1, -1, -1):
+            b = v[j]
+            row[j] = (
+                [(a,) + w for w in below[j]]
+                + [(b,) + w for w in row[j + 1]]
+                + [(a | b,) + w for w in below[j + 1]]
+            )
+        below = row
+    return below[0]
 
 
 def stuffle_size(m: int, n: int) -> int:
@@ -196,20 +205,19 @@ def stuffle_size(m: int, n: int) -> int:
 
 
 def normalize(expr: Expression) -> CanonicalForm:
-    """Expand every term into single zeta factors via repeated stuffles."""
+    """Expand every term into single zeta factors via repeated stuffles.
+
+    The atoms of a legal term are disjoint, so each folded word occurs
+    exactly once and adds the term's coefficient once.
+    """
     acc: dict[tuple[Block, ...], int] = {}
     for term, coeff in expr.terms.items():
-        folded: Counter = Counter()
         first, *rest = term
-        folded[first] = 1
+        words = [first]
         for atom in rest:
-            nxt: Counter = Counter()
-            for w, m in folded.items():
-                for w2, m2 in _stuffle(w, atom).items():
-                    nxt[w2] += m * m2
-            folded = nxt
-        for parts, mult in folded.items():
-            c = acc.get(parts, 0) + coeff * mult
+            words = [w2 for w in words for w2 in _stuffle_words(w, atom)]
+        for parts in words:
+            c = acc.get(parts, 0) + coeff
             if c:
                 acc[parts] = c
             else:

@@ -101,7 +101,7 @@ def verify(
     evaluations against `numeric_tol` and never overrides exact verdicts.
     `agreement` covers the methods that ran.
     """
-    methods = list(methods)
+    methods = list(dict.fromkeys(methods))  # first occurrence of each
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method: {m}")

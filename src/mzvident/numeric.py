@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Mapping, Sequence
+from itertools import accumulate
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
-from .algebra import Expression
+from .algebra import Expression, ZetaAtom
 from .indexsets import indices_of
 
 DEFAULT_TRUNCATION = 50
@@ -59,18 +61,62 @@ def eval_zeta_truncated(exponents: Sequence[float], n_trunc: int) -> float:
     return math.fsum(tail[n_trunc - 1 : 0 : -1])
 
 
-def eval_term(term, assign: Assignment, n_trunc: int) -> float:
-    value = 1.0
-    for atom in term:
-        exps = [sum(assign[j] for j in indices_of(block)) for block in atom]
-        value *= eval_zeta_truncated(exps, n_trunc)
-    return value
+def atom_values(
+    atoms: Iterable[ZetaAtom], assign: Assignment, n_trunc: int
+) -> dict[ZetaAtom, float]:
+    """Truncated value of every distinct atom, as `eval_zeta_truncated`
+    computes it, in one pass.
+
+    Each block's power table k^(-s), k = 1..N-1, is built once.  A DP row
+    depends only on the atom's suffix, so the atoms are visited sorted by
+    their reversed block tuples and a stack keeps the rows of the suffix
+    shared with the previous atom: every distinct suffix is computed once,
+    and only the rows on the current path stay alive.  Each row performs
+    the reference loop's float operations in the same order, so the
+    values are bit-identical to it.
+    """
+    atoms = sorted(set(atoms), key=lambda a: a[::-1])
+    if not atoms:
+        return {}
+    if n_trunc < 2:
+        raise ValueError("truncation level must be >= 2")
+    if max(map(len, atoms)) >= n_trunc:
+        raise ValueError("truncation too small")
+    powers: dict[int, list[float]] = {}  # block -> [k^(-s) for k = 1..N-1]
+    values = {}
+    path: tuple = ()  # reversed blocks of the rows on the stack
+    rows: list[list[float]] = []  # rows[d]: the suffix of length d + 1
+    for atom in atoms:
+        rev = atom[::-1]
+        shared = 0
+        while shared < min(len(path), len(rev)) and path[shared] == rev[shared]:
+            shared += 1
+        del rows[shared:]
+        for block in rev[shared:]:
+            row = powers.get(block)
+            if row is None:
+                s = sum(assign[j] for j in indices_of(block))
+                row = powers[block] = [k ** -s for k in range(1, n_trunc)]
+            if rows:
+                # Index k takes the previous row's sum over the indices below k.
+                row = list(map(mul, row, accumulate(rows[-1][:-1], initial=0.0)))
+            rows.append(row)
+        path = rev
+        values[atom] = math.fsum(rows[-1])
+    return values
 
 
 def term_values(expr: Expression, assign: Assignment, n_trunc: int) -> list[float]:
     """Value of each term, coefficient included, at a truncation level."""
     check_assignment(assign, expr.universe)
-    return [coeff * eval_term(term, assign, n_trunc) for term, coeff in expr.terms.items()]
+    values = atom_values((atom for term in expr.terms for atom in term), assign, n_trunc)
+    out = []
+    for term, coeff in expr.terms.items():
+        value = 1.0
+        for atom in term:
+            value *= values[atom]
+        out.append(coeff * value)
+    return out
 
 
 def eval_expression(expr: Expression, assign: Assignment, n_trunc: int) -> float:

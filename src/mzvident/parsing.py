@@ -173,10 +173,19 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
         if s != inferred:
             raise ParseError("terms over different variable sets", pos)
     target = declared if declared is not None else inferred
+    pos = 0
+
+    def located():
+        # Expression.build validates each entry as it draws it, so on a
+        # LegalityError `pos` is the start of the offending term.
+        nonlocal pos
+        for entry, pos in zip(entries, starts):
+            yield entry
+
     try:
-        return Expression.build(target, entries)
+        return Expression.build(target, located())
     except LegalityError as e:
-        raise ParseError(str(e), 0) from None
+        raise ParseError(str(e), pos) from None
 
 
 def block_text(block: int) -> str:

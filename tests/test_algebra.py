@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from mzvident.algebra import (
     Expression,
     LegalityError,
+    _stuffle_words,
     is_partition_identity,
     normalize,
     stuffle_product,
     stuffle_size,
     validate_legal_term,
 )
+from mzvident.identities import random_expression
 from mzvident.indexsets import full_universe, mask_of
 from mzvident.parsing import parse
 
@@ -140,6 +142,55 @@ def test_multiplicities_stay_one_for_symbolic_blocks():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         u, v = _random_disjoint_tuples(rng, m, n)
         assert all(mult == 1 for mult in stuffle_product(u, v).values())
+
+
+def reference_stuffle(u, v):
+    """Head-first three-branch recursion, kept here as the reference."""
+    if not u:
+        return Counter({v: 1})
+    if not v:
+        return Counter({u: 1})
+    out = Counter()
+    for w, m in reference_stuffle(u[1:], v).items():
+        out[(u[0],) + w] += m
+    for w, m in reference_stuffle(u, v[1:]).items():
+        out[(v[0],) + w] += m
+    for w, m in reference_stuffle(u[1:], v[1:]).items():
+        out[(u[0] | v[0],) + w] += m
+    return out
+
+
+def test_stuffle_words_match_reference_for_all_small_shapes():
+    for m in range(6):
+        for n in range(6):
+            # Single-variable blocks on the left, two-variable blocks on the right.
+            u = tuple(blk(i) for i in range(1, m + 1))
+            v = tuple(blk(m + 2 * i + 1, m + 2 * i + 2) for i in range(n))
+            words = _stuffle_words(u, v)
+            assert len(set(words)) == len(words) == stuffle_size(m, n)
+            assert Counter(words) == reference_stuffle(u, v) == stuffle_product(u, v)
+
+
+def _reference_normalize(expr):
+    acc = Counter()
+    for term, coeff in expr.terms.items():
+        folded = Counter({term[0]: 1})
+        for atom in term[1:]:
+            nxt = Counter()
+            for w, m in folded.items():
+                for w2, m2 in reference_stuffle(w, atom).items():
+                    nxt[w2] += m * m2
+            folded = nxt
+        for parts, mult in folded.items():
+            acc[parts] += coeff * mult
+    return {parts: c for parts, c in acc.items() if c}
+
+
+def test_normalize_matches_reference_fold():
+    rng = random.Random(53)
+    for _ in range(40):
+        expr = random_expression(full_universe(rng.randint(1, 5)), rng)
+        assert dict(normalize(expr).coeffs) == _reference_normalize(expr)
 
 
 # --- normalization ---------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import mzvident.numeric
 from mzvident.cli import cli_main
 from mzvident.identities import hoffman_identity
-from mzvident.parsing import serialize
+from mzvident.parsing import parse, serialize
 
 EXAMPLE_TEXT = (
     "2*zeta(s1+s2+s3) - zeta(s2)*zeta(s1+s3) - zeta(s3)*zeta(s1+s2)"
@@ -153,18 +153,38 @@ def test_eval_non_finite_assignment(capsys):
 
 
 def test_eval_evaluates_each_term_once(capsys, monkeypatch):
+    # One atom-value pass: every distinct atom is evaluated in a single call.
     calls = []
-    real = mzvident.numeric.eval_term
+    real = mzvident.numeric.atom_values
 
-    def counting(term, assign, n_trunc):
-        calls.append(term)
-        return real(term, assign, n_trunc)
+    def counting(atoms, assign, n_trunc):
+        atoms = list(atoms)
+        calls.append(atoms)
+        return real(atoms, assign, n_trunc)
 
-    monkeypatch.setattr(mzvident.numeric, "eval_term", counting)
+    monkeypatch.setattr(mzvident.numeric, "atom_values", counting)
     code, out, _ = run(capsys, "eval", EXAMPLE_TEXT, "--assign", "s1=2,s2=3,s3=2.5")
     assert code == 0
-    assert len(calls) == 7 == len(set(calls))
+    assert len(calls) == 1
+    assert set(calls[0]) == {atom for term in parse(EXAMPLE_TEXT).terms for atom in term}
     assert "absolute residual" in out
+
+
+def test_verify_duplicate_methods_run_once(capsys):
+    code, out, _ = run(
+        capsys, "verify", EXAMPLE_TEXT, "--methods", "canonical,numeric,canonical"
+    )
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("method ")] == [
+        "method canonical: identity",
+        "method numeric: identity",
+    ]
+    code, out, _ = run(
+        capsys, "verify", EXAMPLE_TEXT, "--methods", "canonical,canonical",
+        "--format", "structured",
+    )
+    assert code == 0
+    assert json.loads(out)["methods"] == {"canonical": True}
 
 
 def test_env_seed_override(capsys, monkeypatch):

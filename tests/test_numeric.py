@@ -2,15 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzvident.algebra import Expression, normalize, stuffle_product
-from mzvident.identities import random_expression
-from mzvident.indexsets import full_universe, mask_of
+from mzvident.identities import hoffman_identity, random_expression
+from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.numeric import (
     eval_expression,
     eval_zeta_truncated,
     random_assignment,
     residual_report,
+    term_values,
 )
 from mzvident.parsing import parse
 
@@ -156,3 +159,75 @@ def test_empty_canonical_form_means_tiny_residual():
         assert rel <= 1e-10
         if found >= 5:
             break
+
+
+# --- the shared atom-value pass against the per-atom reference --------------
+
+
+def reference_term_values(expr, assign, n_trunc):
+    """Each term evaluated atom by atom with `eval_zeta_truncated`."""
+    out = []
+    for term, coeff in expr.terms.items():
+        value = 1.0
+        for atom in term:
+            exps = [sum(assign[j] for j in indices_of(b)) for b in atom]
+            value *= eval_zeta_truncated(exps, n_trunc)
+        out.append(coeff * value)
+    return out
+
+
+@st.composite
+def legal_expressions(draw):
+    n = draw(st.integers(1, 7))
+    entries = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.permutations(range(1, n + 1)))
+        # Before each further variable: 0 joins the current block,
+        # 1 starts a new block, 2 starts a new atom.
+        cuts = draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+        atoms = [[blk(order[0])]]
+        for j, cut in zip(order[1:], cuts):
+            if cut == 0:
+                atoms[-1][-1] |= blk(j)
+            elif cut == 1:
+                atoms[-1].append(blk(j))
+            else:
+                atoms.append([blk(j)])
+        coeff = draw(st.integers(-(10**6), 10**6))
+        entries.append((coeff, [tuple(a) for a in atoms]))
+    return Expression.build(full_universe(n), entries)
+
+
+@given(
+    legal_expressions(),
+    st.lists(st.floats(1.01, 4.0), min_size=7, max_size=7),
+    st.sampled_from([8, 10, 20, 50]),
+)
+@settings(max_examples=150, deadline=None)
+def test_term_values_equal_per_atom_reference(expr, values, n_trunc):
+    assign = dict(enumerate(values, start=1))
+    assert term_values(expr, assign, n_trunc) == reference_term_values(expr, assign, n_trunc)
+
+
+def test_term_values_equal_reference_on_shared_suffixes():
+    # Hoffman terms share most suffixes between their depth-n atoms.
+    expr = hoffman_identity(5)
+    assign = random_assignment(expr.universe, random.Random(59))
+    for n_trunc in (6, 50):
+        assert term_values(expr, assign, n_trunc) == reference_term_values(expr, assign, n_trunc)
+
+
+def test_term_values_errors():
+    expr = parse("zeta(s1,s2,s3) - zeta(s1)*zeta(s2,s3)")
+    assign = {1: 2.0, 2: 2.5, 3: 3.0}
+    with pytest.raises(ValueError, match="truncation too small"):
+        term_values(expr, assign, 3)
+    with pytest.raises(ValueError, match="truncation level must be >= 2"):
+        term_values(expr, assign, 1)
+    with pytest.raises(ValueError, match="no value assigned to s3"):
+        term_values(expr, {1: 2.0, 2: 2.5}, 10)
+    with pytest.raises(ValueError, match="s2 must exceed 1"):
+        term_values(expr, {1: 2.0, 2: 1.0, 3: 3.0}, 10)
+    with pytest.raises(ValueError, match="s1 must be finite"):
+        term_values(expr, {1: math.inf, 2: 2.5, 3: 3.0}, 10)
+    assert term_values(expr, assign, 4) == reference_term_values(expr, assign, 4)

@@ -63,6 +63,19 @@ def test_parse_variable_reused():
         parse("zeta(s1+s1)")
 
 
+def test_parse_legality_error_position():
+    # A legality error names the start of the offending term, not 0.
+    with pytest.raises(ParseError, match="variable reused: s1 \\(at position 14\\)") as info:
+        parse("zeta(s1,s2) + zeta(s1+s2)*zeta(s1)")
+    assert info.value.pos == 14
+    with pytest.raises(ParseError, match="variable missing: s2") as info:
+        parse("zeta(s1)", universe=2)
+    assert info.value.pos == 0
+    with pytest.raises(ParseError, match="variable reused: s2") as info:
+        parse("zeta(s1,s2) - zeta(s1)*zeta(s2) + 2*zeta(s2)*zeta(s1+s2)")
+    assert info.value.pos == 34
+
+
 def test_parse_variable_index_zero():
     with pytest.raises(ParseError):
         parse("zeta(s0)")
