@@ -24,14 +24,9 @@ from .partitions import (
     bell_count,
     fubini_count,
     ordered_set_partitions,
-    permutations,
     unordered_set_partitions,
 )
-from .ratfun import (
-    is_zero_combination,
-    probabilistic_zero_test,
-    rational_term_of,
-)
+from .ratfun import is_zero_combination, rational_term_of
 
 __version__ = "0.1.0"
 
@@ -55,8 +50,6 @@ __all__ = [
     "ordered_set_partitions",
     "parse",
     "parse_arglist",
-    "permutations",
-    "probabilistic_zero_test",
     "rational_term_of",
     "residual_report",
     "serialize",

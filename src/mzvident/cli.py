@@ -12,7 +12,7 @@ import os
 import sys
 
 from .algebra import Expression, LegalityError, normalize, stuffle_product
-from .identities import METHODS, hoffman_identity, verify
+from .identities import hoffman_identity, verify
 from .indexsets import full_universe, indices_of
 from .numeric import DEFAULT_TRUNCATION, residuals, term_values
 from .parsing import (
@@ -81,9 +81,6 @@ def _parse_assignment(text: str) -> dict[int, float]:
 def _cmd_verify(args) -> int:
     expr = _load_expression(args.expr)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise CliError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
     report = verify(expr, methods=methods, n_trunc=args.N, seed=args.seed)
     print(serialize(report, args.format))
     return 0 if report.is_identity else 1

@@ -31,6 +31,9 @@ HOFFMAN_CAP = 7
 
 METHODS = ("canonical", "rational", "numeric")
 
+# Seeded random assignments the numeric method evaluates.
+NUMERIC_TRIALS = 5
+
 
 @dataclass
 class IdentityReport:
@@ -65,11 +68,11 @@ def stuffle_identity(u: ZetaAtom, v: ZetaAtom) -> Expression:
     return Expression.build(universe, entries)
 
 
-def hoffman_identity(n: int, cap: int = HOFFMAN_CAP) -> Expression:
+def hoffman_identity(n: int) -> Expression:
     """Symmetric-sum identity: n! permutation terms minus the
     signed products of depth-1 factors over unordered partitions."""
-    if n < 1 or n > cap:
-        raise ValueError(f"n must be in 1..{cap}")
+    if n < 1 or n > HOFFMAN_CAP:
+        raise ValueError(f"n must be in 1..{HOFFMAN_CAP}")
     universe = full_universe(n)
     entries: list[tuple[int, tuple[ZetaAtom, ...]]] = []
     for perm in itertools.permutations(range(1, n + 1)):
@@ -89,22 +92,21 @@ def verify(
     methods: Sequence[str] = METHODS,
     n_trunc: int = DEFAULT_TRUNCATION,
     seed: int = 0,
-    numeric_trials: int = 5,
-    numeric_tol: float = ROUNDING_TOL,
 ) -> IdentityReport:
     """Run the requested verification methods and collate a report.
 
     The canonical method is authoritative for the verdict; if it was not
     requested it is run anyway to decide.  The rational method is skipped,
     with its reason recorded, when its size estimate exceeds the budget.
-    The numeric method compares the relative residual of seeded random
-    evaluations against `numeric_tol` and never overrides exact verdicts.
+    The numeric method compares the worst relative residual of
+    NUMERIC_TRIALS seeded random evaluations against ROUNDING_TOL and never
+    overrides exact verdicts.
     `agreement` covers the methods that ran.
     """
     methods = list(dict.fromkeys(methods))  # first occurrence of each
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method: {m}")
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
 
     ok, witness = is_partition_identity(expr)
     per_method: dict[str, bool] = {}
@@ -123,12 +125,12 @@ def verify(
     if "numeric" in methods:
         rng = random.Random(seed)
         worst = 0.0
-        for _ in range(numeric_trials):
+        for _ in range(NUMERIC_TRIALS):
             assign = random_assignment(expr.universe, rng)
             _, rel = residual_report(expr, assign, n_trunc)
             worst = max(worst, rel)
         residual = worst
-        per_method["numeric"] = worst <= numeric_tol
+        per_method["numeric"] = worst <= ROUNDING_TOL
 
     agreement = all(v == ok for v in per_method.values())
     return IdentityReport(

@@ -38,10 +38,6 @@ def indices_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def min_index(mask: int) -> int:
     """Smallest member of a non-empty mask."""
     if not mask:

@@ -20,6 +20,11 @@ from .indexsets import indices_of
 DEFAULT_TRUNCATION = 50
 ROUNDING_TOL = 1e-10
 
+# Most floats `atom_values` will hold at once (about 32 bytes each in
+# CPython, so about 0.5 GB).  It admits zeta(s1,s2,s3) at N = 10^6 (an
+# estimate of 7e6 floats) and refuses N = 10^8.
+NUMERIC_BUDGET_FLOATS = 1 << 24
+
 Assignment = Mapping[int, float]  # variable index -> value > 1
 
 
@@ -74,13 +79,18 @@ def atom_values(
     and only the rows on the current path stay alive.  Each row performs
     the reference loop's float operations in the same order, so the
     values are bit-identical to it.
+
+    Raises ValueError, before a power table would cross it, when the live
+    floats (distinct blocks + live rows + 1) * (N - 1), with the deepest
+    atom's depth standing for the live rows, exceed NUMERIC_BUDGET_FLOATS.
     """
+    if n_trunc < 2:
+        raise ValueError("truncation level must be >= 2")
     atoms = sorted(set(atoms), key=lambda a: a[::-1])
     if not atoms:
         return {}
-    if n_trunc < 2:
-        raise ValueError("truncation level must be >= 2")
-    if max(map(len, atoms)) >= n_trunc:
+    depth = max(map(len, atoms))
+    if depth >= n_trunc:
         raise ValueError("truncation too small")
     powers: dict[int, list[float]] = {}  # block -> [k^(-s) for k = 1..N-1]
     values = {}
@@ -95,6 +105,12 @@ def atom_values(
         for block in rev[shared:]:
             row = powers.get(block)
             if row is None:
+                estimate = (len(powers) + 1 + depth + 1) * (n_trunc - 1)
+                if estimate > NUMERIC_BUDGET_FLOATS:
+                    raise ValueError(
+                        f"truncated evaluation refused: estimate {estimate} floats"
+                        f" > budget {NUMERIC_BUDGET_FLOATS} floats"
+                    )
                 s = sum(assign[j] for j in indices_of(block))
                 row = powers[block] = [k ** -s for k in range(1, n_trunc)]
             if rows:

@@ -28,6 +28,7 @@ from .algebra import (
     LegalityError,
     StuffleResult,
     ZetaAtom,
+    partition_sort_key,
 )
 from .identities import IdentityReport
 from .indexsets import full_universe, indices_of, mask_of
@@ -228,9 +229,7 @@ def canonical_text(canon: CanonicalForm) -> str:
 def stuffle_text(result: StuffleResult) -> str:
     pieces = [
         (mult, atom_text(w))
-        for w, mult in sorted(
-            result.items(), key=lambda kv: (len(kv[0]), tuple(indices_of(b) for b in kv[0]))
-        )
+        for w, mult in sorted(result.items(), key=lambda kv: partition_sort_key(kv[0]))
     ]
     return _signed_join(pieces)
 
@@ -285,10 +284,7 @@ def stuffle_json(result: StuffleResult) -> dict:
         "kind": "stuffle",
         "tuples": [
             {"multiplicity": mult, "blocks": _blocks_json(w)}
-            for w, mult in sorted(
-                result.items(),
-                key=lambda kv: (len(kv[0]), tuple(indices_of(b) for b in kv[0])),
-            )
+            for w, mult in sorted(result.items(), key=lambda kv: partition_sort_key(kv[0]))
         ],
     }
 
@@ -310,26 +306,22 @@ def report_json(report: IdentityReport) -> dict:
     return out
 
 
+# Core type -> (text renderer, structured renderer); anything else is a
+# stuffle result.
+_RENDERERS = {
+    Expression: (expression_text, expression_json),
+    CanonicalForm: (canonical_text, canonical_json),
+    IdentityReport: (report_text, report_json),
+}
+
+
 def serialize(obj, fmt: str = "text") -> str:
     """Render a core object as canonical text or structured JSON."""
+    text, structured = _RENDERERS.get(type(obj), (stuffle_text, stuffle_json))
     if fmt == "text":
-        if isinstance(obj, Expression):
-            return expression_text(obj)
-        if isinstance(obj, CanonicalForm):
-            return canonical_text(obj)
-        if isinstance(obj, IdentityReport):
-            return report_text(obj)
-        return stuffle_text(obj)
+        return text(obj)
     if fmt == "structured":
-        if isinstance(obj, Expression):
-            doc = expression_json(obj)
-        elif isinstance(obj, CanonicalForm):
-            doc = canonical_json(obj)
-        elif isinstance(obj, IdentityReport):
-            doc = report_json(obj)
-        else:
-            doc = stuffle_json(obj)
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(structured(obj), sort_keys=True, indent=2)
     raise ValueError(f"unknown format: {fmt}")
 
 

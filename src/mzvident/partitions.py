@@ -1,4 +1,4 @@
-"""Enumeration of subsets, permutations and set partitions of index sets.
+"""Enumeration of set partitions of index sets, and their exact counts.
 
 Ground sets are bitmasks (see indexsets).  An ordered partition is a tuple of
 non-empty pairwise-disjoint masks covering the ground set; an unordered
@@ -10,11 +10,10 @@ tuple-of-index-tuples serialization, so golden outputs are stable.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
-from .indexsets import indices_of, min_index, size, submasks
+from .indexsets import indices_of, submasks
 
 OrderedPartition = tuple[int, ...]
 UnorderedPartition = tuple[int, ...]  # parts sorted by smallest element
@@ -64,12 +63,6 @@ def unordered_set_partitions(ground: int) -> list[UnorderedPartition]:
     return out
 
 
-def permutations(ground: int) -> list[tuple[int, ...]]:
-    """All orderings of the members of `ground`, lexicographic."""
-    _require_nonempty(ground)
-    return list(itertools.permutations(indices_of(ground)))
-
-
 @lru_cache(maxsize=None)
 def fubini_count(n: int) -> int:
     """Number of ordered set partitions of an n-element set (exact)."""
@@ -112,11 +105,7 @@ __all__ = [
     "UnorderedPartition",
     "ordered_set_partitions",
     "unordered_set_partitions",
-    "permutations",
     "fubini_count",
     "bell_count",
     "check_partition",
-    "min_index",
-    "size",
-    "factorial",
 ]

@@ -9,16 +9,12 @@ The exact test packs that numerator into a single integer by Kronecker
 substitution (D. Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", J. Symbolic Comput. 44, 2009): x_j -> 2^(k*stride_j)
 with mixed-radix strides from the LCD degrees, and a digit width k that
-bounds every coefficient, so the integer is 0 iff the polynomial is.  The
-probabilistic test uses exact rationals and serves only as a fast pre-filter.
+bounds every coefficient, so the integer is 0 iff the polynomial is.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LegalTerm
@@ -123,70 +119,6 @@ def is_zero_combination(
                 v = (v << shift) - v
         total += v
     return total == 0
-
-
-def _factor_value(support: int, point: Sequence[Fraction]) -> Fraction:
-    """(prod_{j in support} x_j) - 1 at an exact rational point."""
-    return math.prod((point[j - 1] for j in indices_of(support)), start=Fraction(1)) - 1
-
-
-def _term_value(
-    coeff: int, factors: Mapping[int, int], point: Sequence[Fraction]
-) -> Fraction:
-    val = Fraction(coeff)
-    for support, mult in factors.items():
-        val /= _factor_value(support, point) ** mult
-    return val
-
-
-def probabilistic_zero_test(
-    terms: Sequence[tuple[int, Mapping[int, int]]],
-    nvars: int,
-    trials: int = 5,
-    seed: int = 0,
-) -> bool:
-    """Evaluate at seeded rational points with all coordinates > 1.
-
-    Returns False on any nonzero evaluation; True means no refutation was
-    found (confirm with is_zero_combination for a proof).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        point = [
-            1 + Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(nvars)
-        ]
-        total = sum((_term_value(c, f, point) for c, f in terms), Fraction(0))
-        if total:
-            return False
-    return True
-
-
-def evaluate_cleared_numerator(
-    terms: Sequence[tuple[int, Mapping[int, int]]], point: Sequence[Fraction]
-) -> tuple[Fraction, Fraction]:
-    """(numerator value, LCD value) at an exact rational point.
-
-    Each term's cleared numerator, c * prod_S (x^S - 1)^(lcd[S] - m(S)), is
-    evaluated at the point directly.  Exposed for the exactness property:
-    numerator == LCD * sum of terms.
-    """
-    lcd = _lcd(terms)
-    values = {support: _factor_value(support, point) for support in lcd}
-    lcd_val = math.prod((values[s] ** m for s, m in lcd.items()), start=Fraction(1))
-    num_val = sum(
-        (
-            coeff
-            * math.prod(
-                (values[s] ** (m - factors.get(s, 0)) for s, m in lcd.items()),
-                start=Fraction(1),
-            )
-            for coeff, factors in terms
-        ),
-        Fraction(0),
-    )
-    return num_val, lcd_val
 
 
 def rational_terms_of_expression(

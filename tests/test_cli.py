@@ -51,6 +51,7 @@ def test_verify_methods_flag(capsys):
 def test_verify_unknown_method(capsys):
     code, _, err = run(capsys, "verify", EXAMPLE_TEXT, "--methods", "shuffle")
     assert code == 2
+    assert err == "error: unknown method 'shuffle'; choose from canonical, rational, numeric\n"
 
 
 def test_verify_structured_format(capsys):
@@ -96,6 +97,16 @@ def test_stuffle_command(capsys):
     code, out, _ = run(capsys, "stuffle", "s1", "s2")
     assert code == 0
     assert "zeta(s1,s2)" in out and "zeta(s2,s1)" in out and "zeta(s1+s2)" in out
+
+
+def test_stuffle_order_is_by_index_tuples(capsys):
+    # Block (s1+s3) has the larger mask but the smaller index tuple than (s2).
+    code, out, _ = run(capsys, "stuffle", "s1+s3", "s2")
+    assert code == 0
+    assert out == "zeta(s1+s2+s3) + zeta(s1+s3,s2) + zeta(s2,s1+s3)\n"
+    code, out, _ = run(capsys, "stuffle", "s1+s3", "s2", "--format", "structured")
+    tuples = [t["blocks"] for t in json.loads(out)["tuples"]]
+    assert tuples == [[[1, 2, 3]], [[1, 3], [2]], [[2], [1, 3]]]
 
 
 def test_stuffle_shared_variable(capsys):
@@ -150,6 +161,22 @@ def test_eval_non_finite_assignment(capsys):
         code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", f"s1={value}")
         assert code == 2
         assert "finite" in err and out == ""
+
+
+def test_eval_truncation_over_budget(capsys):
+    code, out, err = run(
+        capsys, "eval", "zeta(s1,s2,s3)", "--assign", "s1=2,s2=2,s3=2", "--N", "100000000"
+    )
+    assert code == 2 and out == ""
+    assert "truncated evaluation refused: estimate " in err and " floats > budget " in err
+    code, _, err = run(capsys, "verify", EXAMPLE_TEXT, "--N", "100000000")
+    assert code == 2 and "truncated evaluation refused" in err
+
+
+def test_eval_zero_expression_checks_truncation(capsys):
+    code, out, err = run(capsys, "eval", "0", "--assign", "", "--N", "1")
+    assert code == 2 and out == ""
+    assert "truncation level must be >= 2" in err
 
 
 def test_eval_evaluates_each_term_once(capsys, monkeypatch):

@@ -1,14 +1,18 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mzvident.numeric
 from mzvident.algebra import Expression, normalize, stuffle_product
 from mzvident.identities import hoffman_identity, random_expression
 from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.numeric import (
+    NUMERIC_BUDGET_FLOATS,
+    atom_values,
     eval_expression,
     eval_zeta_truncated,
     random_assignment,
@@ -86,6 +90,8 @@ def test_eval_zero_expression():
     expr = Expression(full_universe(2), {})
     assert eval_expression(expr, {1: 2.0, 2: 2.0}, 10) == 0.0
     assert residual_report(expr, {1: 2.0, 2: 2.0}, 10) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="truncation level must be >= 2"):
+        eval_expression(expr, {1: 2.0, 2: 2.0}, 1)
 
 
 def test_assignment_validation():
@@ -231,3 +237,35 @@ def test_term_values_errors():
     with pytest.raises(ValueError, match="s1 must be finite"):
         term_values(expr, {1: math.inf, 2: 2.5, 3: 3.0}, 10)
     assert term_values(expr, assign, 4) == reference_term_values(expr, assign, 4)
+
+
+def test_truncation_over_budget_refused_before_allocating():
+    expr = parse("zeta(s1,s2,s3)")
+    n_trunc = 10**8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated evaluation refused") as info:
+            term_values(expr, {1: 2.0, 2: 2.0, 3: 2.0}, n_trunc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Refused at the first power table: (1 block + depth 3 + 1) * (N - 1).
+    assert f"estimate {5 * (n_trunc - 1)} floats" in str(info.value)
+    assert f"budget {NUMERIC_BUDGET_FLOATS} floats" in str(info.value)
+    # One power table alone would take (N - 1) floats, about 3 GB.
+    assert peak < 1 << 20
+
+
+def test_truncation_budget_boundary(monkeypatch):
+    # The estimate is (distinct blocks + deepest atom's depth + 1) * (N - 1),
+    # checked as each power table is added.
+    monkeypatch.setattr(mzvident.numeric, "NUMERIC_BUDGET_FLOATS", 1000)
+    assign = {j: 2.0 for j in range(1, 21)}
+    deep = [(blk(1), blk(2), blk(3))]  # 7 * (N - 1) floats at the third table
+    assert deep[0] in atom_values(deep, assign, 143)
+    with pytest.raises(ValueError, match="estimate 1001 floats > budget 1000"):
+        atom_values(deep, assign, 144)
+    shallow = [(blk(j),) for j in range(1, 21)]  # (t + 2) * (N - 1) at the t-th table
+    assert len(atom_values(shallow[:8], assign, 101)) == 8
+    with pytest.raises(ValueError, match="estimate 1100 floats > budget 1000"):
+        atom_values(shallow, assign, 101)

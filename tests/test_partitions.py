@@ -8,7 +8,6 @@ from mzvident.partitions import (
     check_partition,
     fubini_count,
     ordered_set_partitions,
-    permutations,
     unordered_set_partitions,
 )
 
@@ -54,8 +53,6 @@ def test_empty_ground_rejected():
         ordered_set_partitions(0)
     with pytest.raises(ValueError, match="empty ground set"):
         unordered_set_partitions(0)
-    with pytest.raises(ValueError):
-        permutations(0)
 
 
 def test_ordered_counts_match_fubini():
@@ -124,13 +121,6 @@ def test_no_duplicates_emitted():
         assert len(ordered) == len(set(ordered))
         unordered = unordered_set_partitions(full_universe(n))
         assert len(unordered) == len({frozenset(p) for p in unordered})
-
-
-def test_permutations_basic():
-    assert permutations(mask_of([1])) == [(1,)]
-    assert permutations(mask_of([1, 2])) == [(1, 2), (2, 1)]
-    assert len(permutations(full_universe(3))) == 6
-    assert len(set(permutations(full_universe(4)))) == 24
 
 
 def test_fubini_values():

@@ -1,7 +1,6 @@
 import random
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +14,8 @@ from mzvident.partitions import ordered_set_partitions
 from mzvident.ratfun import (
     KRONECKER_BUDGET_BITS,
     ZeroTestTooLarge,
-    evaluate_cleared_numerator,
     is_zero_combination,
     kronecker_layout,
-    probabilistic_zero_test,
     rational_term_of,
     rational_terms_of_expression,
 )
@@ -88,49 +85,6 @@ def test_repeated_factor_multiplicity():
     lin = Counter({blk(1): 1})
     assert is_zero_combination([(1, sq), (-1, sq)], 1)
     assert not is_zero_combination([(1, sq), (-1, lin)], 1)
-
-
-def test_probabilistic_agrees_on_example():
-    assert probabilistic_zero_test(SEVEN_TERM, 3, trials=5, seed=1)
-
-
-def test_probabilistic_refutes_single_term():
-    assert not probabilistic_zero_test([(1, Counter({blk(1): 1}))], 1, trials=1, seed=0)
-
-
-def test_probabilistic_empty_combination():
-    assert probabilistic_zero_test([], 2, trials=3, seed=0)
-
-
-def test_probabilistic_never_refutes_true_zero():
-    rng = random.Random(17)
-    for seed in range(10):
-        n = rng.randint(2, 4)
-        expr = random_expression(full_universe(n), rng)
-        terms = rational_terms_of_expression(expr.terms.items())
-        if is_zero_combination(terms, n):
-            assert probabilistic_zero_test(terms, n, trials=5, seed=seed)
-
-
-def test_exactness_of_cleared_numerator():
-    rng = random.Random(19)
-    for _ in range(10):
-        n = rng.randint(2, 4)
-        expr = random_expression(full_universe(n), rng)
-        terms = rational_terms_of_expression(expr.terms.items())
-        point = [1 + Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
-        num, lcd = evaluate_cleared_numerator(terms, point)
-        direct = Fraction(0)
-        for coeff, factors in terms:
-            v = Fraction(coeff)
-            for support, mult in factors.items():
-                prod = Fraction(1)
-                for j in range(1, n + 1):
-                    if support & (1 << (j - 1)):
-                        prod *= point[j - 1]
-                v /= (prod - 1) ** mult
-            direct += v
-        assert num == lcd * direct
 
 
 def test_theorem_agreement_random():
