@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping, Optional
 
 from .indexsets import indices_of, min_index
+from .partitions import partition_sort_key
 
 Block = int  # non-empty bitmask
 ZetaAtom = tuple[Block, ...]  # ordered, disjoint, non-empty blocks
@@ -132,10 +134,6 @@ def _term_sort_key(term: LegalTerm):
     )
 
 
-def partition_sort_key(parts: tuple[Block, ...]):
-    return (len(parts), tuple(indices_of(b) for b in parts))
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     """Linear combination of single zeta factors indexed by ordered partitions."""
@@ -160,6 +158,19 @@ class CanonicalForm:
 
 StuffleResult = Counter  # tuple of blocks -> multiplicity
 
+# Most stuffle words the canonical route builds for one call: a single
+# stuffle_product, or the running total of per-term bounds in normalize.
+# Hoffman n=7 (532,225 words) fits; two depth-10 atoms (8,097,453) do not.
+CANONICAL_BUDGET_WORDS = 1 << 22
+
+
+def _check_words(estimate: int) -> None:
+    if estimate > CANONICAL_BUDGET_WORDS:
+        raise ValueError(
+            f"canonical expansion refused: estimate {estimate} words"
+            f" > budget {CANONICAL_BUDGET_WORDS} words"
+        )
+
 
 def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
     """Multiset of interleavings-with-merges of two disjoint block tuples.
@@ -167,10 +178,13 @@ def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
     Implements the three-branch recursion: take the head of u, take the
     head of v, or merge both heads (block union standing in for the sum
     of two scalar arguments), with u * () = () * u = {u}.  Disjoint
-    non-empty blocks make every multiplicity 1.
+    non-empty blocks make every multiplicity 1.  Refused before any word
+    is built when `stuffle_size(len(u), len(v))` exceeds
+    CANONICAL_BUDGET_WORDS.
     """
     if atom_support(u) & atom_support(v):
         raise LegalityError("operands share a variable")
+    _check_words(stuffle_size(len(u), len(v)))
     return Counter(_stuffle_words(u, v))
 
 
@@ -199,8 +213,12 @@ def _stuffle_words(u: ZetaAtom, v: ZetaAtom) -> list[ZetaAtom]:
     return below[0]
 
 
+@lru_cache(maxsize=None)
 def stuffle_size(m: int, n: int) -> int:
-    """Closed-form size of the stuffle multiset for tuple lengths m, n."""
+    """Closed-form size of the stuffle multiset for tuple lengths m, n.
+
+    Cached because normalize takes it for every product term it bounds.
+    """
     return sum(comb(m, k) * comb(n, k) * 2**k for k in range(min(m, n) + 1))
 
 
@@ -208,11 +226,21 @@ def normalize(expr: Expression) -> CanonicalForm:
     """Expand every term into single zeta factors via repeated stuffles.
 
     The atoms of a legal term are disjoint, so each folded word occurs
-    exactly once and adds the term's coefficient once.
+    exactly once and adds the term's coefficient once.  Before a term is
+    expanded its word bound, the product of `stuffle_size(depth so far,
+    len(atom))` over the fold (exact for two atoms), joins a running total
+    that may not exceed CANONICAL_BUDGET_WORDS.
     """
     acc: dict[tuple[Block, ...], int] = {}
+    estimate = 0
     for term, coeff in expr.terms.items():
         first, *rest = term
+        depth, bound = len(first), 1
+        for atom in rest:
+            bound *= stuffle_size(depth, len(atom))
+            depth += len(atom)
+        estimate += bound
+        _check_words(estimate)
         words = [first]
         for atom in rest:
             words = [w2 for w in words for w2 in _stuffle_words(w, atom)]

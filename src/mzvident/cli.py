@@ -12,7 +12,7 @@ import os
 import sys
 
 from .algebra import Expression, LegalityError, normalize, stuffle_product
-from .identities import hoffman_identity, verify
+from .identities import METHODS, hoffman_identity, verify
 from .indexsets import full_universe, indices_of
 from .numeric import DEFAULT_TRUNCATION, residuals, term_values
 from .parsing import (
@@ -79,9 +79,10 @@ def _parse_assignment(text: str) -> dict[int, float]:
 
 
 def _cmd_verify(args) -> int:
+    seed = _default_seed() if args.seed is None else args.seed
     expr = _load_expression(args.expr)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = verify(expr, methods=methods, n_trunc=args.N, seed=args.seed)
+    report = verify(expr, methods=methods, n_trunc=args.N, seed=seed)
     print(serialize(report, args.format))
     return 0 if report.is_identity else 1
 
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="decide whether an expression is an identity")
     add_common(sp)
-    sp.add_argument("--methods", default="canonical,rational,numeric")
+    sp.add_argument("--methods", default=",".join(METHODS))
     sp.add_argument("--N", type=int, default=DEFAULT_TRUNCATION)
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_verify)
@@ -194,12 +195,6 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code else 0
-    if getattr(args, "seed", None) is None and args.command == "verify":
-        try:
-            args.seed = _default_seed()
-        except CliError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (CliError, ParseError, LegalityError, ValueError) as e:

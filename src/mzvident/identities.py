@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .algebra import (
     Block,
@@ -37,19 +37,31 @@ NUMERIC_TRIALS = 5
 
 @dataclass
 class IdentityReport:
-    """Outcome of verifying an expression by one or more methods."""
+    """What `verify` observed; the verdict and agreement derive from it.
 
-    verdict: str  # "identity" or "not-identity"
+    The canonical route's `witness` (None when every canonical coefficient
+    vanishes) settles the verdict.  `per_method` holds the vote of each
+    method that ran, in METHODS order, and `skipped` the reason of each
+    requested method that did not run.
+    """
+
     witness: Optional[tuple[tuple[Block, ...], int]]
-    methods_run: list[str]
-    agreement: bool
-    numeric_residual: Optional[float] = None
     per_method: dict[str, bool] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)  # method -> reason
+    numeric_residual: Optional[float] = None
 
     @property
     def is_identity(self) -> bool:
-        return self.verdict == "identity"
+        return self.witness is None
+
+    @property
+    def verdict(self) -> str:
+        return "identity" if self.is_identity else "not-identity"
+
+    @property
+    def agreement(self) -> bool:
+        """Every vote that ran matches the verdict."""
+        return all(vote == self.is_identity for vote in self.per_method.values())
 
 
 def stuffle_identity(u: ZetaAtom, v: ZetaAtom) -> Expression:
@@ -89,7 +101,7 @@ def hoffman_identity(n: int) -> Expression:
 
 def verify(
     expr: Expression,
-    methods: Sequence[str] = METHODS,
+    methods: Iterable[str] = METHODS,
     n_trunc: int = DEFAULT_TRUNCATION,
     seed: int = 0,
 ) -> IdentityReport:
@@ -101,27 +113,29 @@ def verify(
     The numeric method compares the worst relative residual of
     NUMERIC_TRIALS seeded random evaluations against ROUNDING_TOL and never
     overrides exact verdicts.
-    `agreement` covers the methods that ran.
+    Methods run in METHODS order whatever the order requested.
     """
-    methods = list(dict.fromkeys(methods))  # first occurrence of each
+    methods = tuple(methods)  # validated once, then tested for membership
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    if not methods:
+        raise ValueError(f"no method requested; choose from {', '.join(METHODS)}")
 
     ok, witness = is_partition_identity(expr)
-    per_method: dict[str, bool] = {}
-    skipped: dict[str, str] = {}
+    report = IdentityReport(witness)
     if "canonical" in methods:
-        per_method["canonical"] = ok
+        report.per_method["canonical"] = ok
 
     if "rational" in methods:
         rats = rational_terms_of_expression(expr.terms.items())
         try:
-            per_method["rational"] = is_zero_combination(rats, expr.universe.bit_length())
+            report.per_method["rational"] = is_zero_combination(
+                rats, expr.universe.bit_length()
+            )
         except ZeroTestTooLarge as e:
-            skipped["rational"] = e.reason
+            report.skipped["rational"] = e.reason
 
-    residual: Optional[float] = None
     if "numeric" in methods:
         rng = random.Random(seed)
         worst = 0.0
@@ -129,19 +143,9 @@ def verify(
             assign = random_assignment(expr.universe, rng)
             _, rel = residual_report(expr, assign, n_trunc)
             worst = max(worst, rel)
-        residual = worst
-        per_method["numeric"] = worst <= ROUNDING_TOL
-
-    agreement = all(v == ok for v in per_method.values())
-    return IdentityReport(
-        verdict="identity" if ok else "not-identity",
-        witness=None if ok else witness,
-        methods_run=methods,
-        agreement=agreement,
-        numeric_residual=residual,
-        per_method=per_method,
-        skipped=skipped,
-    )
+        report.numeric_residual = worst
+        report.per_method["numeric"] = worst <= ROUNDING_TOL
+    return report
 
 
 def random_legal_term(universe: int, rng: random.Random) -> tuple[ZetaAtom, ...]:

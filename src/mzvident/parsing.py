@@ -28,10 +28,10 @@ from .algebra import (
     LegalityError,
     StuffleResult,
     ZetaAtom,
-    partition_sort_key,
 )
-from .identities import IdentityReport
+from .identities import METHODS, IdentityReport
 from .indexsets import full_universe, indices_of, mask_of
+from .partitions import partition_sort_key
 
 
 class ParseError(ValueError):
@@ -114,15 +114,20 @@ class _Parser:
         except ValueError as e:
             raise ParseError(str(e), pos) from None
 
-    def parse_factor(self) -> ZetaAtom:
-        self.expect("zeta")
-        self.expect("op", "(")
+    def parse_args(self) -> ZetaAtom:
+        """arg { ',' arg } -> tuple of block masks."""
         blocks = [self.parse_arg()]
         while self.peek()[:2] == ("op", ","):
             self.next()
             blocks.append(self.parse_arg())
-        self.expect("op", ")")
         return tuple(blocks)
+
+    def parse_factor(self) -> ZetaAtom:
+        self.expect("zeta")
+        self.expect("op", "(")
+        atom = self.parse_args()
+        self.expect("op", ")")
+        return atom
 
     def parse_term(self) -> tuple[int, list[ZetaAtom]]:
         coeff = 1
@@ -236,10 +241,10 @@ def stuffle_text(result: StuffleResult) -> str:
 
 def report_text(report: IdentityReport) -> str:
     lines = [f"verdict: {report.verdict}"]
-    for m in report.methods_run:
+    for m in METHODS:
         if m in report.skipped:
             lines.append(f"method {m}: skipped ({report.skipped[m]})")
-        else:
+        elif m in report.per_method:
             lines.append(f"method {m}: {'identity' if report.per_method[m] else 'not-identity'}")
     if report.numeric_residual is not None:
         lines.append(f"numeric relative residual: {report.numeric_residual:.3e}")
@@ -328,9 +333,6 @@ def serialize(obj, fmt: str = "text") -> str:
 def parse_arglist(text: str) -> ZetaAtom:
     """Parse the `arg {',' arg}` sub-grammar, e.g. "s1,s2+s3"."""
     parser = _Parser(text)
-    blocks = [parser.parse_arg()]
-    while parser.peek()[:2] == ("op", ","):
-        parser.next()
-        blocks.append(parser.parse_arg())
+    atom = parser.parse_args()
     parser.expect("eof")
-    return tuple(blocks)
+    return atom

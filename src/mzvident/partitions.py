@@ -10,6 +10,7 @@ tuple-of-index-tuples serialization, so golden outputs are stable.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import comb
 
@@ -24,21 +25,21 @@ def _require_nonempty(ground: int) -> None:
         raise ValueError("empty ground set")
 
 
+def partition_sort_key(parts: tuple[int, ...]):
+    """The fixed enumeration order: part count, then index tuples."""
+    return (len(parts), tuple(indices_of(m) for m in parts))
+
+
 def ordered_set_partitions(ground: int) -> list[OrderedPartition]:
     """All ordered set partitions of `ground`, each exactly once."""
-    _require_nonempty(ground)
-    out: list[OrderedPartition] = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]) -> None:
-        if not remaining:
-            out.append(prefix)
-            return
-        for part in submasks(remaining):
-            rec(remaining & ~part, prefix + (part,))
-
-    rec(ground, ())
-    out.sort(key=lambda p: (len(p), tuple(indices_of(m) for m in p)))
-    return out
+    return sorted(
+        (
+            order
+            for parts in unordered_set_partitions(ground)
+            for order in itertools.permutations(parts)
+        ),
+        key=partition_sort_key,
+    )
 
 
 def unordered_set_partitions(ground: int) -> list[UnorderedPartition]:
@@ -59,7 +60,7 @@ def unordered_set_partitions(ground: int) -> list[UnorderedPartition]:
             rec(remaining & ~part, prefix + (part,))
 
     rec(ground, ())
-    out.sort(key=lambda p: (len(p), tuple(indices_of(m) for m in p)))
+    out.sort(key=partition_sort_key)
     return out
 
 
@@ -103,6 +104,7 @@ def check_partition(parts: tuple[int, ...], ground: int) -> None:
 __all__ = [
     "OrderedPartition",
     "UnorderedPartition",
+    "partition_sort_key",
     "ordered_set_partitions",
     "unordered_set_partitions",
     "fubini_count",

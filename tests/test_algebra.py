@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mzvident.algebra
 from mzvident.algebra import (
+    CANONICAL_BUDGET_WORDS,
     Expression,
     LegalityError,
     _stuffle_words,
@@ -15,7 +18,7 @@ from mzvident.algebra import (
     stuffle_size,
     validate_legal_term,
 )
-from mzvident.identities import random_expression
+from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
 from mzvident.indexsets import full_universe, mask_of
 from mzvident.parsing import parse
 
@@ -102,6 +105,51 @@ def test_stuffle_depth_one():
 def test_stuffle_rejects_shared_variable():
     with pytest.raises(LegalityError, match="share"):
         stuffle_product((blk(1),), (blk(1, 2),))
+
+
+def test_canonical_expansion_over_budget_refused_before_building():
+    u = tuple(blk(j) for j in range(1, 13))
+    v = tuple(blk(j) for j in range(13, 25))
+    expr = Expression.build(full_universe(24), [(1, (u, v))])
+    want = f"estimate {stuffle_size(12, 12)} words > budget {CANONICAL_BUDGET_WORDS} words"
+    tracemalloc.start()
+    try:
+        for expand in (lambda: stuffle_product(u, v), lambda: normalize(expr)):
+            with pytest.raises(ValueError, match="canonical expansion refused") as info:
+                expand()
+            assert want in str(info.value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The 251,595,969 words would take tens of GB.
+    assert peak < 1 << 20
+
+
+def test_canonical_budget_boundary(monkeypatch):
+    u, v = (blk(1), blk(2)), (blk(3), blk(4))
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 13)
+    assert len(stuffle_product(u, v)) == stuffle_size(2, 2) == 13
+    with pytest.raises(ValueError, match="estimate 25 words > budget 13 words"):
+        stuffle_product(u, v + (blk(5),))
+    # normalize adds the term bounds: 13 for the product, 1 per single word.
+    expr = stuffle_identity(u, v)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 26)
+    assert normalize(expr).is_zero()
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 25)
+    with pytest.raises(ValueError, match="estimate 26 words > budget 25 words"):
+        normalize(expr)
+    # Beyond two atoms the bound multiplies stuffle_size(depth so far, len(atom)):
+    # 3 * 5 = 15 for zeta(s1)*zeta(s2)*zeta(s3), which has 13 words.
+    triple = parse("zeta(s1)*zeta(s2)*zeta(s3)")
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 15)
+    assert len(normalize(triple).coeffs) == 13
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 14)
+    with pytest.raises(ValueError, match="estimate 15 words > budget 14 words"):
+        normalize(triple)
+
+
+def test_hoffman_seven_within_canonical_budget():
+    assert normalize(hoffman_identity(7)).is_zero()
 
 
 def test_stuffle_size_values():

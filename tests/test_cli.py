@@ -54,6 +54,49 @@ def test_verify_unknown_method(capsys):
     assert err == "error: unknown method 'shuffle'; choose from canonical, rational, numeric\n"
 
 
+def test_verify_empty_methods(capsys):
+    code, out, err = run(capsys, "verify", EXAMPLE_TEXT, "--methods", "")
+    assert code == 2 and out == ""
+    assert err == "error: no method requested; choose from canonical, rational, numeric\n"
+
+
+def test_verify_text_lists_methods_in_fixed_order(capsys):
+    code, out, _ = run(capsys, "verify", EXAMPLE_TEXT, "--methods", "numeric,canonical")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("method ")] == [
+        "method canonical: identity",
+        "method numeric: identity",
+    ]
+    # A skipped method keeps its place in the order.
+    code, out, _ = run(
+        capsys, "verify", serialize(hoffman_identity(6)), "--methods", "numeric,rational,canonical"
+    )
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("method ")]
+    assert [line.split(":")[0] for line in lines] == [
+        "method canonical",
+        "method rational",
+        "method numeric",
+    ]
+    assert lines[1].startswith("method rational: skipped (estimate ")
+
+
+def test_canonical_expansion_over_budget(capsys):
+    left = ",".join(f"s{j}" for j in range(1, 13))
+    right = ",".join(f"s{j}" for j in range(13, 25))
+    for argv in (
+        ("stuffle", left, right),
+        ("normalize", f"zeta({left})*zeta({right})"),
+        ("verify", f"zeta({left})*zeta({right})", "--methods", "numeric"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: canonical expansion refused: estimate 251595969 words"
+            " > budget 4194304 words\n"
+        )
+
+
 def test_verify_structured_format(capsys):
     code, out, _ = run(capsys, "verify", EXAMPLE_TEXT, "--format", "structured")
     assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from math import factorial
@@ -10,6 +11,7 @@ from mzvident.algebra import (
     normalize,
 )
 from mzvident.identities import (
+    IdentityReport,
     hoffman_identity,
     random_expression,
     stuffle_identity,
@@ -154,6 +156,33 @@ def test_verify_perturbed_stuffle_identity():
 def test_verify_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         verify(parse("zeta(s1)"), methods=("magic",))
+
+
+def test_verify_requires_a_method():
+    with pytest.raises(ValueError) as info:
+        verify(parse("zeta(s1)"), methods=[])
+    assert str(info.value) == "no method requested; choose from canonical, rational, numeric"
+
+
+def test_verify_accepts_a_one_pass_iterable():
+    report = verify(parse("zeta(s1)*zeta(s2) - zeta(s1,s2)"), iter(["numeric", "canonical"]))
+    assert report.per_method == {"canonical": False, "numeric": False}
+
+
+def test_report_stores_only_observations():
+    fields = [f.name for f in dataclasses.fields(IdentityReport)]
+    assert fields == ["witness", "per_method", "skipped", "numeric_residual"]
+
+
+def test_report_derives_verdict_and_agreement():
+    refuted = IdentityReport(((1,), 1))
+    assert refuted.verdict == "not-identity" and not refuted.is_identity
+    assert refuted.agreement  # no vote ran
+    assert IdentityReport(witness=None, per_method={"numeric": False}).agreement is False
+    assert IdentityReport(witness=None, per_method={"numeric": True}).verdict == "identity"
+    for name in ("verdict", "is_identity", "agreement"):
+        with pytest.raises(AttributeError):
+            setattr(refuted, name, True)
 
 
 def test_method_agreement_random():
