@@ -158,17 +158,17 @@ class CanonicalForm:
 
 StuffleResult = Counter  # tuple of blocks -> multiplicity
 
-# Most stuffle words the canonical route builds for one call: a single
-# stuffle_product, or the running total of per-term bounds in normalize.
-# Hoffman n=7 (532,225 words) fits; two depth-10 atoms (8,097,453) do not.
+# Most word slots (words times their length bound) one call may build: a
+# single stuffle_product, or normalize's running total of term bounds.
+# Hoffman n=7 (3,113,419 slots) fits; two depth-9 atoms (26,326,134) do not.
 CANONICAL_BUDGET_WORDS = 1 << 22
 
 
-def _check_words(estimate: int) -> None:
+def _check_slots(estimate: int) -> None:
     if estimate > CANONICAL_BUDGET_WORDS:
         raise ValueError(
-            f"canonical expansion refused: estimate {estimate} words"
-            f" > budget {CANONICAL_BUDGET_WORDS} words"
+            f"canonical expansion refused: estimate {estimate} slots"
+            f" > budget {CANONICAL_BUDGET_WORDS} slots"
         )
 
 
@@ -177,14 +177,17 @@ def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
 
     Implements the three-branch recursion: take the head of u, take the
     head of v, or merge both heads (block union standing in for the sum
-    of two scalar arguments), with u * () = () * u = {u}.  Disjoint
-    non-empty blocks make every multiplicity 1.  Refused before any word
-    is built when `stuffle_size(len(u), len(v))` exceeds
+    of two scalar arguments), with u * () = () * u = {u}.  Each operand
+    must be a legal atom, and disjoint non-empty blocks make every
+    multiplicity 1.  Refused before any word is built when
+    `stuffle_size(len(u), len(v)) * (len(u) + len(v))` slots exceed
     CANONICAL_BUDGET_WORDS.
     """
     if atom_support(u) & atom_support(v):
         raise LegalityError("operands share a variable")
-    _check_words(stuffle_size(len(u), len(v)))
+    for atom in filter(None, (u, v)):
+        validate_legal_term((atom,), atom_support(atom))
+    _check_slots(stuffle_size(len(u), len(v)) * (len(u) + len(v)))
     return Counter(_stuffle_words(u, v))
 
 
@@ -227,9 +230,9 @@ def normalize(expr: Expression) -> CanonicalForm:
 
     The atoms of a legal term are disjoint, so each folded word occurs
     exactly once and adds the term's coefficient once.  Before a term is
-    expanded its word bound, the product of `stuffle_size(depth so far,
-    len(atom))` over the fold (exact for two atoms), joins a running total
-    that may not exceed CANONICAL_BUDGET_WORDS.
+    expanded its slot bound, the product of `stuffle_size(depth so far,
+    len(atom))` over the fold (exact for two atoms) times the term's total
+    depth, joins a running total that may not exceed CANONICAL_BUDGET_WORDS.
     """
     acc: dict[tuple[Block, ...], int] = {}
     estimate = 0
@@ -239,8 +242,8 @@ def normalize(expr: Expression) -> CanonicalForm:
         for atom in rest:
             bound *= stuffle_size(depth, len(atom))
             depth += len(atom)
-        estimate += bound
-        _check_words(estimate)
+        estimate += bound * depth
+        _check_slots(estimate)
         words = [first]
         for atom in rest:
             words = [w2 for w in words for w2 in _stuffle_words(w, atom)]

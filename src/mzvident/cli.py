@@ -82,7 +82,7 @@ def _cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     expr = _load_expression(args.expr)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = verify(expr, methods=methods, n_trunc=args.N, seed=seed)
+    report = verify(expr, methods=methods, seed=seed)
     print(serialize(report, args.format))
     return 0 if report.is_identity else 1
 
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="decide whether an expression is an identity")
     add_common(sp)
     sp.add_argument("--methods", default=",".join(METHODS))
-    sp.add_argument("--N", type=int, default=DEFAULT_TRUNCATION)
     sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(func=_cmd_verify)
 

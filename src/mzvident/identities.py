@@ -23,16 +23,13 @@ from .algebra import (
     stuffle_product,
 )
 from .indexsets import full_universe
-from .numeric import DEFAULT_TRUNCATION, ROUNDING_TOL, random_assignment, residual_report
+from .numeric import residual_report
 from .partitions import unordered_set_partitions
 from .ratfun import ZeroTestTooLarge, is_zero_combination, rational_terms_of_expression
 
 HOFFMAN_CAP = 7
 
 METHODS = ("canonical", "rational", "numeric")
-
-# Seeded random assignments the numeric method evaluates.
-NUMERIC_TRIALS = 5
 
 
 @dataclass
@@ -48,7 +45,6 @@ class IdentityReport:
     witness: Optional[tuple[tuple[Block, ...], int]]
     per_method: dict[str, bool] = field(default_factory=dict)
     skipped: dict[str, str] = field(default_factory=dict)  # method -> reason
-    numeric_residual: Optional[float] = None
 
     @property
     def is_identity(self) -> bool:
@@ -102,7 +98,6 @@ def hoffman_identity(n: int) -> Expression:
 def verify(
     expr: Expression,
     methods: Iterable[str] = METHODS,
-    n_trunc: int = DEFAULT_TRUNCATION,
     seed: int = 0,
 ) -> IdentityReport:
     """Run the requested verification methods and collate a report.
@@ -110,9 +105,9 @@ def verify(
     The canonical method is authoritative for the verdict; if it was not
     requested it is run anyway to decide.  The rational method is skipped,
     with its reason recorded, when its size estimate exceeds the budget.
-    The numeric method compares the worst relative residual of
-    NUMERIC_TRIALS seeded random evaluations against ROUNDING_TOL and never
-    overrides exact verdicts.
+    The numeric method evaluates the expression exactly at integer weights
+    drawn from `seed` and votes identity iff the value is 0; it never
+    overrides the canonical verdict.
     Methods run in METHODS order whatever the order requested.
     """
     methods = tuple(methods)  # validated once, then tested for membership
@@ -137,14 +132,7 @@ def verify(
             report.skipped["rational"] = e.reason
 
     if "numeric" in methods:
-        rng = random.Random(seed)
-        worst = 0.0
-        for _ in range(NUMERIC_TRIALS):
-            assign = random_assignment(expr.universe, rng)
-            _, rel = residual_report(expr, assign, n_trunc)
-            worst = max(worst, rel)
-        report.numeric_residual = worst
-        report.per_method["numeric"] = worst <= ROUNDING_TOL
+        report.per_method["numeric"] = residual_report(expr, seed) == 0
     return report
 
 

@@ -1,9 +1,11 @@
-"""Truncated nested-sum evaluation used as a numeric cross-check.
-
-The truncated sum over N > k_1 > ... > k_n > 0 of prod k_j^(-s_j) obeys the
-stuffle multiplication rule exactly in real arithmetic, so every identity
-that normalizes to zero also evaluates to zero at every truncation level;
-observed residuals measure only floating-point rounding.
+"""Truncated nested sums Z(b_1..b_r) over N > k_1 > ... > k_r > 0 of
+prod_i prod_{j in b_i} f_j(k_i), which obey the stuffle rule over any
+commutative ring (Hoffman, "Quasi-shuffle products", 2000).  `eval` takes
+f_j(k) = k^(-s_j) in floats.  The numeric vote takes seeded integers in
+[1, 2^64) and N = n + 1, where each index tuple lies in exactly one ordered
+partition, so an expression's value is a degree-n polynomial in the weights
+with its canonical coefficients: a nonzero value refutes exactly, and a zero
+errs with probability at most n / 2^64 (Schwartz-Zippel).
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ import math
 import random
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .algebra import Expression, ZetaAtom
+from .algebra import Block, Expression, ZetaAtom
 from .indexsets import indices_of
 
 DEFAULT_TRUNCATION = 50
-ROUNDING_TOL = 1e-10
 
 # Most floats `atom_values` will hold at once (about 32 bytes each in
 # CPython, so about 0.5 GB).  It admits zeta(s1,s2,s3) at N = 10^6 (an
@@ -67,35 +68,32 @@ def eval_zeta_truncated(exponents: Sequence[float], n_trunc: int) -> float:
 
 
 def atom_values(
-    atoms: Iterable[ZetaAtom], assign: Assignment, n_trunc: int
-) -> dict[ZetaAtom, float]:
-    """Truncated value of every distinct atom, as `eval_zeta_truncated`
-    computes it, in one pass.
+    atoms: Iterable[ZetaAtom], block_row: Callable[[Block], list], n_trunc: int, total=math.fsum
+) -> dict:
+    """Truncated value of every distinct atom in one pass.
 
-    Each block's power table k^(-s), k = 1..N-1, is built once.  A DP row
-    depends only on the atom's suffix, so the atoms are visited sorted by
+    `block_row(block)`, the weights [f(1), ..., f(N-1)] of a block, is taken
+    once per block: k^(-s) makes each value bit-identical to
+    `eval_zeta_truncated`, and integers with `total=sum` make it exact.  A DP
+    row depends only on the atom's suffix, so the atoms are visited sorted by
     their reversed block tuples and a stack keeps the rows of the suffix
     shared with the previous atom: every distinct suffix is computed once,
-    and only the rows on the current path stay alive.  Each row performs
-    the reference loop's float operations in the same order, so the
-    values are bit-identical to it.
+    and only the rows on the current path stay alive.
 
-    Raises ValueError, before a power table would cross it, when the live
-    floats (distinct blocks + live rows + 1) * (N - 1), with the deepest
+    Raises ValueError, before a weight row would cross it, when the live
+    entries (distinct blocks + live rows + 1) * (N - 1), with the deepest
     atom's depth standing for the live rows, exceed NUMERIC_BUDGET_FLOATS.
     """
-    if n_trunc < 2:
-        raise ValueError("truncation level must be >= 2")
     atoms = sorted(set(atoms), key=lambda a: a[::-1])
     if not atoms:
         return {}
     depth = max(map(len, atoms))
     if depth >= n_trunc:
         raise ValueError("truncation too small")
-    powers: dict[int, list[float]] = {}  # block -> [k^(-s) for k = 1..N-1]
+    tables: dict[Block, list] = {}  # block -> block_row(block)
     values = {}
     path: tuple = ()  # reversed blocks of the rows on the stack
-    rows: list[list[float]] = []  # rows[d]: the suffix of length d + 1
+    rows: list[list] = []  # rows[d]: the suffix of length d + 1
     for atom in atoms:
         rev = atom[::-1]
         shared = 0
@@ -103,29 +101,35 @@ def atom_values(
             shared += 1
         del rows[shared:]
         for block in rev[shared:]:
-            row = powers.get(block)
+            row = tables.get(block)
             if row is None:
-                estimate = (len(powers) + 1 + depth + 1) * (n_trunc - 1)
+                estimate = (len(tables) + 1 + depth + 1) * (n_trunc - 1)
                 if estimate > NUMERIC_BUDGET_FLOATS:
                     raise ValueError(
                         f"truncated evaluation refused: estimate {estimate} floats"
                         f" > budget {NUMERIC_BUDGET_FLOATS} floats"
                     )
-                s = sum(assign[j] for j in indices_of(block))
-                row = powers[block] = [k ** -s for k in range(1, n_trunc)]
+                row = tables[block] = block_row(block)
             if rows:
                 # Index k takes the previous row's sum over the indices below k.
-                row = list(map(mul, row, accumulate(rows[-1][:-1], initial=0.0)))
+                row = list(map(mul, row, accumulate(rows[-1][:-1], initial=0)))
             rows.append(row)
         path = rev
-        values[atom] = math.fsum(rows[-1])
+        values[atom] = total(rows[-1])
     return values
 
 
 def term_values(expr: Expression, assign: Assignment, n_trunc: int) -> list[float]:
     """Value of each term, coefficient included, at a truncation level."""
+    if n_trunc < 2:
+        raise ValueError("truncation level must be >= 2")
     check_assignment(assign, expr.universe)
-    values = atom_values((atom for term in expr.terms for atom in term), assign, n_trunc)
+
+    def powers(block: Block) -> list[float]:
+        s = sum(assign[j] for j in indices_of(block))
+        return [k ** -s for k in range(1, n_trunc)]
+
+    values = atom_values((atom for term in expr.terms for atom in term), powers, n_trunc)
     out = []
     for term, coeff in expr.terms.items():
         value = 1.0
@@ -140,13 +144,6 @@ def eval_expression(expr: Expression, assign: Assignment, n_trunc: int) -> float
     return math.fsum(term_values(expr, assign, n_trunc))
 
 
-def residual_report(
-    expr: Expression, assign: Assignment, n_trunc: int
-) -> tuple[float, float]:
-    """(absolute residual, residual relative to the sum of term magnitudes)."""
-    return residuals(term_values(expr, assign, n_trunc))
-
-
 def residuals(values: Sequence[float]) -> tuple[float, float]:
     """(absolute residual, residual relative to the sum of term magnitudes)
     of the term values `values`."""
@@ -155,6 +152,21 @@ def residuals(values: Sequence[float]) -> tuple[float, float]:
         return 0.0, 0.0
     total = abs(math.fsum(values))
     return total, total / magnitude
+
+
+def residual_report(expr: Expression, seed: int) -> int:
+    """Exact value of `expr` truncated at N = n + 1, at integer weights f_j(k)
+    in [1, 2^64), k = 1..n, drawn from `seed` variable by variable in index
+    order; zero for every identity."""
+    rng, n = random.Random(seed), expr.universe.bit_count()
+    weights = {j: [rng.randrange(1, 2**64) for _ in range(n)] for j in indices_of(expr.universe)}
+    values = atom_values(
+        (atom for term in expr.terms for atom in term),
+        lambda block: list(map(math.prod, zip(*map(weights.get, indices_of(block))))),
+        n + 1,
+        total=sum,
+    )
+    return sum(coeff * math.prod(map(values.get, term)) for term, coeff in expr.terms.items())
 
 
 def random_assignment(universe: int, rng: random.Random) -> dict[int, float]:

@@ -246,8 +246,6 @@ def report_text(report: IdentityReport) -> str:
             lines.append(f"method {m}: skipped ({report.skipped[m]})")
         elif m in report.per_method:
             lines.append(f"method {m}: {'identity' if report.per_method[m] else 'not-identity'}")
-    if report.numeric_residual is not None:
-        lines.append(f"numeric relative residual: {report.numeric_residual:.3e}")
     lines.append(f"agreement: {'yes' if report.agreement else 'no'}")
     if report.witness is not None:
         parts, coeff = report.witness
@@ -303,8 +301,6 @@ def report_json(report: IdentityReport) -> dict:
     }
     if report.skipped:
         out["skipped"] = dict(report.skipped)
-    if report.numeric_residual is not None:
-        out["numeric_residual"] = report.numeric_residual
     if report.witness is not None:
         parts, coeff = report.witness
         out["witness"] = {"coeff": coeff, "parts": _blocks_json(parts)}

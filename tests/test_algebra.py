@@ -107,11 +107,23 @@ def test_stuffle_rejects_shared_variable():
         stuffle_product((blk(1),), (blk(1, 2),))
 
 
+def test_stuffle_rejects_illegal_operand():
+    for u, v in (((blk(1), blk(1)), (blk(2),)), ((blk(3),), (blk(1), blk(1, 2)))):
+        with pytest.raises(LegalityError, match="variable reused: s1"):
+            stuffle_product(u, v)
+        with pytest.raises(LegalityError, match="variable reused: s1"):
+            stuffle_product(v, u)
+    with pytest.raises(LegalityError, match="variable reused: s1"):
+        stuffle_product((blk(1), blk(1)), ())
+    with pytest.raises(LegalityError, match="empty block"):
+        stuffle_product((blk(1), 0), (blk(2),))
+
+
 def test_canonical_expansion_over_budget_refused_before_building():
     u = tuple(blk(j) for j in range(1, 13))
     v = tuple(blk(j) for j in range(13, 25))
     expr = Expression.build(full_universe(24), [(1, (u, v))])
-    want = f"estimate {stuffle_size(12, 12)} words > budget {CANONICAL_BUDGET_WORDS} words"
+    want = f"estimate {stuffle_size(12, 12) * 24} slots > budget {CANONICAL_BUDGET_WORDS} slots"
     tracemalloc.start()
     try:
         for expand in (lambda: stuffle_product(u, v), lambda: normalize(expr)):
@@ -126,25 +138,28 @@ def test_canonical_expansion_over_budget_refused_before_building():
 
 
 def test_canonical_budget_boundary(monkeypatch):
+    # A bound counts word slots: the word count times the word length bound.
     u, v = (blk(1), blk(2)), (blk(3), blk(4))
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 13)
-    assert len(stuffle_product(u, v)) == stuffle_size(2, 2) == 13
-    with pytest.raises(ValueError, match="estimate 25 words > budget 13 words"):
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 52)
+    assert len(stuffle_product(u, v)) == stuffle_size(2, 2) == 13  # 13 * 4 slots
+    with pytest.raises(ValueError, match="estimate 125 slots > budget 52 slots"):
         stuffle_product(u, v + (blk(5),))
-    # normalize adds the term bounds: 13 for the product, 1 per single word.
+    # normalize adds the term bounds: 52 for the product, and each single
+    # word's length, 44 over the 13 words.
     expr = stuffle_identity(u, v)
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 26)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 96)
     assert normalize(expr).is_zero()
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 25)
-    with pytest.raises(ValueError, match="estimate 26 words > budget 25 words"):
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 95)
+    with pytest.raises(ValueError, match="estimate 96 slots > budget 95 slots"):
         normalize(expr)
     # Beyond two atoms the bound multiplies stuffle_size(depth so far, len(atom)):
-    # 3 * 5 = 15 for zeta(s1)*zeta(s2)*zeta(s3), which has 13 words.
+    # 3 * 5 = 15 words of length at most 3 for zeta(s1)*zeta(s2)*zeta(s3),
+    # which has 13 words.
     triple = parse("zeta(s1)*zeta(s2)*zeta(s3)")
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 15)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 45)
     assert len(normalize(triple).coeffs) == 13
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 14)
-    with pytest.raises(ValueError, match="estimate 15 words > budget 14 words"):
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 44)
+    with pytest.raises(ValueError, match="estimate 45 slots > budget 44 slots"):
         normalize(triple)
 
 

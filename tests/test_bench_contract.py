@@ -14,17 +14,22 @@ from pathlib import Path
 import pytest
 
 import mzvident.identities as identities
+from mzvident.parsing import parse
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def tracer():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("tracer")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    return _perfbench_module("tracer")
 
 
 def test_every_traced_target_resolves(tracer):
@@ -49,3 +54,14 @@ def test_verify_records_algebra_ratfun_and_numeric_spans(tracer):
             "numeric.residual",
         },
     )
+
+
+def test_hoffman_seed_61_op_votes_agree():
+    # Round 1 of the hoffman workload at seed 61 opens with a perturbed k*H_7
+    # that a float residual relative to the term magnitudes voted an identity.
+    rounds = _perfbench_module("workloads").Hoffman().rounds(61)
+    next(rounds)
+    op = next(rounds)[0]
+    assert op.label is False and op.props["n"] == 7
+    report = identities.verify(parse(op.text), op.methods)
+    assert report.per_method == {"canonical": False, "numeric": False}

@@ -92,8 +92,8 @@ def test_canonical_expansion_over_budget(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err == (
-            "error: canonical expansion refused: estimate 251595969 words"
-            " > budget 4194304 words\n"
+            "error: canonical expansion refused: estimate 6038303256 slots"
+            " > budget 4194304 slots\n"
         )
 
 
@@ -157,6 +157,13 @@ def test_stuffle_shared_variable(capsys):
     assert code == 2
 
 
+def test_stuffle_operand_reusing_a_variable(capsys):
+    for left, right in (("s1,s1", "s2"), ("s2", "s1,s1")):
+        code, out, err = run(capsys, "stuffle", left, right)
+        assert code == 2 and out == ""
+        assert err == "error: variable reused: s1\n"
+
+
 def test_hoffman_verify(capsys):
     code, out, _ = run(capsys, "hoffman", "2", "--verify")
     assert code == 0
@@ -212,8 +219,17 @@ def test_eval_truncation_over_budget(capsys):
     )
     assert code == 2 and out == ""
     assert "truncated evaluation refused: estimate " in err and " floats > budget " in err
-    code, _, err = run(capsys, "verify", EXAMPLE_TEXT, "--N", "100000000")
-    assert code == 2 and "truncated evaluation refused" in err
+    # verify fixes its own truncation level and takes no --N.
+    code, out, err = run(capsys, "verify", EXAMPLE_TEXT, "--N", "100000000")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --N 100000000" in err
+
+
+def test_verify_zero_expression(capsys):
+    # The numeric vote on no variables truncates at N = 1 and still votes.
+    code, out, _ = run(capsys, "verify", "0")
+    assert code == 0
+    assert "method numeric: identity" in out and "agreement: yes" in out
 
 
 def test_eval_zero_expression_checks_truncation(capsys):
@@ -227,10 +243,10 @@ def test_eval_evaluates_each_term_once(capsys, monkeypatch):
     calls = []
     real = mzvident.numeric.atom_values
 
-    def counting(atoms, assign, n_trunc):
+    def counting(atoms, block_row, n_trunc):
         atoms = list(atoms)
         calls.append(atoms)
-        return real(atoms, assign, n_trunc)
+        return real(atoms, block_row, n_trunc)
 
     monkeypatch.setattr(mzvident.numeric, "atom_values", counting)
     code, out, _ = run(capsys, "eval", EXAMPLE_TEXT, "--assign", "s1=2,s2=3,s3=2.5")

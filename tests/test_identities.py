@@ -18,6 +18,7 @@ from mzvident.identities import (
     verify,
 )
 from mzvident.indexsets import full_universe, mask_of
+from mzvident.numeric import random_assignment, residuals, term_values
 from mzvident.parsing import parse, serialize
 from mzvident.partitions import bell_count
 from mzvident.ratfun import is_zero_combination, rational_terms_of_expression
@@ -118,14 +119,14 @@ def test_verify_example_all_methods():
     assert report.verdict == "identity"
     assert report.agreement
     assert report.witness is None
-    assert report.numeric_residual is not None and report.numeric_residual <= 1e-10
+    assert report.per_method == {"canonical": True, "rational": True, "numeric": True}
 
 
 def test_verify_hoffman4_canonical_rational():
     report = verify(hoffman_identity(4), methods=("canonical", "rational"))
     assert report.verdict == "identity"
     assert report.agreement
-    assert report.numeric_residual is None
+    assert list(report.per_method) == ["canonical", "rational"]
 
 
 def test_verify_hoffman6_skips_rational():
@@ -171,7 +172,7 @@ def test_verify_accepts_a_one_pass_iterable():
 
 def test_report_stores_only_observations():
     fields = [f.name for f in dataclasses.fields(IdentityReport)]
-    assert fields == ["witness", "per_method", "skipped", "numeric_residual"]
+    assert fields == ["witness", "per_method", "skipped"]
 
 
 def test_report_derives_verdict_and_agreement():
@@ -194,6 +195,36 @@ def test_method_agreement_random():
             continue
         report = verify(expr, methods=("canonical", "rational"))
         assert report.agreement
+
+
+def test_numeric_agrees_with_canonical_random():
+    # Half the inputs are identities: a scaled stuffle identity plus H_n.
+    rng = random.Random(67)
+    votes = set()
+    for i in range(200):
+        n = rng.randint(1, 5)
+        if i % 2:
+            expr = random_expression(full_universe(n), rng)
+        else:
+            cut = rng.randint(0, n)
+            expr = stuffle_identity(
+                tuple(blk(j) for j in range(1, cut + 1)),
+                tuple(blk(j) for j in range(cut + 1, n + 1)),
+            ).scale(rng.randint(1, 10**6)) + hoffman_identity(n)
+        report = verify(expr, ("canonical", "numeric"), seed=i)
+        assert report.agreement, (i, report.per_method)
+        votes.add(report.per_method["numeric"])
+    assert votes == {True, False}
+
+
+def test_numeric_vote_not_diluted_by_a_scaled_identity():
+    # Scaling a true identity by 1000 hides the perturbation from a float
+    # residual relative to the term magnitudes, but not from the exact value.
+    expr = hoffman_identity(7).scale(1000) - parse("zeta(s1+s2+s4,s5+s6,s3+s7)").scale(2)
+    assign = random_assignment(expr.universe, random.Random(1))
+    assert residuals(term_values(expr, assign, 50))[1] < 1e-10
+    report = verify(expr, ("canonical", "numeric"))
+    assert report.per_method == {"canonical": False, "numeric": False}
 
 
 def test_perturbation_flips_verdict():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzvident.numeric
-from mzvident.algebra import Expression, normalize, stuffle_product
-from mzvident.identities import hoffman_identity, random_expression
+from mzvident.algebra import Expression, is_partition_identity, normalize, stuffle_product
+from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
 from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.numeric import (
     NUMERIC_BUDGET_FLOATS,
@@ -17,6 +18,7 @@ from mzvident.numeric import (
     eval_zeta_truncated,
     random_assignment,
     residual_report,
+    residuals,
     term_values,
 )
 from mzvident.parsing import parse
@@ -28,8 +30,6 @@ def blk(*idx):
 
 def brute_truncated(exponents, n_trunc):
     """Oracle: explicit loop over all strictly decreasing index tuples."""
-    import itertools
-
     depth = len(exponents)
     total = 0.0
     for ks in itertools.combinations(range(n_trunc - 1, 0, -1), depth):
@@ -89,7 +89,7 @@ def test_eval_single_term():
 def test_eval_zero_expression():
     expr = Expression(full_universe(2), {})
     assert eval_expression(expr, {1: 2.0, 2: 2.0}, 10) == 0.0
-    assert residual_report(expr, {1: 2.0, 2: 2.0}, 10) == (0.0, 0.0)
+    assert residuals(term_values(expr, {1: 2.0, 2: 2.0}, 10)) == (0.0, 0.0)
     with pytest.raises(ValueError, match="truncation level must be >= 2"):
         eval_expression(expr, {1: 2.0, 2: 2.0}, 1)
 
@@ -102,7 +102,7 @@ def test_assignment_validation():
         eval_expression(expr, {1: 2.0, 2: 0.5}, 10)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            residual_report(expr, {1: 2.0, 2: bad}, 10)
+            term_values(expr, {1: 2.0, 2: bad}, 10)
 
 
 EXAMPLE_TEXT = (
@@ -116,13 +116,13 @@ def test_identity_residual_is_rounding_only():
     rng = random.Random(41)
     for _ in range(10):
         assign = random_assignment(expr.universe, rng)
-        _, rel = residual_report(expr, assign, 50)
+        _, rel = residuals(term_values(expr, assign, 50))
         assert rel <= 1e-10
 
 
 def test_non_identity_residual_is_large():
     expr = parse("zeta(s1)*zeta(s2) - zeta(s1,s2) - zeta(s2,s1)")
-    _, rel = residual_report(expr, {1: 2.0, 2: 2.0}, 100)
+    _, rel = residuals(term_values(expr, {1: 2.0, 2: 2.0}, 100))
     assert rel > 1e-6
 
 
@@ -161,7 +161,7 @@ def test_empty_canonical_form_means_tiny_residual():
             continue
         found += 1
         assign = random_assignment(expr.universe, rng)
-        _, rel = residual_report(expr, assign, rng.choice([10, 50]))
+        _, rel = residuals(term_values(expr, assign, rng.choice([10, 50])))
         assert rel <= 1e-10
         if found >= 5:
             break
@@ -260,12 +260,81 @@ def test_truncation_budget_boundary(monkeypatch):
     # The estimate is (distinct blocks + deepest atom's depth + 1) * (N - 1),
     # checked as each power table is added.
     monkeypatch.setattr(mzvident.numeric, "NUMERIC_BUDGET_FLOATS", 1000)
-    assign = {j: 2.0 for j in range(1, 21)}
+
+    def ones(n_trunc):  # a weight row of the right length for every block
+        return lambda block: [1.0] * (n_trunc - 1)
+
     deep = [(blk(1), blk(2), blk(3))]  # 7 * (N - 1) floats at the third table
-    assert deep[0] in atom_values(deep, assign, 143)
+    assert deep[0] in atom_values(deep, ones(143), 143)
     with pytest.raises(ValueError, match="estimate 1001 floats > budget 1000"):
-        atom_values(deep, assign, 144)
+        atom_values(deep, ones(144), 144)
     shallow = [(blk(j),) for j in range(1, 21)]  # (t + 2) * (N - 1) at the t-th table
-    assert len(atom_values(shallow[:8], assign, 101)) == 8
+    assert len(atom_values(shallow[:8], ones(101), 101)) == 8
     with pytest.raises(ValueError, match="estimate 1100 floats > budget 1000"):
-        atom_values(shallow, assign, 101)
+        atom_values(shallow, ones(101), 101)
+
+
+# --- the exact integer vote ---------------------------------------------------
+
+
+def brute_exact(expr, seed):
+    """Oracle: draw the weights f_j(k), k = 1..n, variable by variable, then
+    sum every term's coeff * prod of atoms, each atom summed over all index
+    tuples n >= k_1 > ... > k_r >= 1 of prod f_j(k_i)."""
+    n, rng = expr.universe.bit_count(), random.Random(seed)
+    weights = {j: [rng.randrange(1, 2**64) for _ in range(n)] for j in indices_of(expr.universe)}
+
+    def z(atom):
+        return sum(
+            math.prod(weights[j][k - 1] for k, b in zip(ks, atom) for j in indices_of(b))
+            for ks in itertools.combinations(range(n, 0, -1), len(atom))
+        )
+
+    return sum(c * math.prod(map(z, term)) for term, c in expr.terms.items())
+
+
+def test_exact_value_equals_brute_force():
+    rng = random.Random(61)
+    universes = [full_universe(n) for n in range(1, 6)] + [mask_of([2, 5, 7])]
+    for seed in range(60):
+        expr = random_expression(rng.choice(universes), rng, max_terms=5)
+        assert residual_report(expr, seed) == brute_exact(expr, seed)
+
+
+def test_exact_vote_sees_a_prime_multiple():
+    # The value is p * (an integer), so modulo the fixed prime p = 2^61 - 1
+    # H_n - p*T would pass as an identity.
+    p = (1 << 61) - 1
+    for n in range(3, 8):
+        h = hoffman_identity(n)
+        top = parse("zeta(" + "+".join(f"s{j}" for j in range(1, n + 1)) + ")")
+        value = residual_report(h - top.scale(p), n)
+        assert value != 0 and value % p == 0
+
+
+def test_exact_vote_on_no_variables():
+    assert residual_report(Expression(0, {}), 0) == 0
+
+
+@st.composite
+def known_identities(draw, n):
+    """k * (a stuffle identity splitting {1..n}, plus H_n for n <= 5)."""
+    order = draw(st.permutations(range(1, n + 1)))
+    cut = draw(st.integers(0, n))
+    identity = stuffle_identity(
+        tuple(blk(j) for j in order[:cut]), tuple(blk(j) for j in order[cut:])
+    )
+    if n <= 5:
+        identity = identity + hoffman_identity(n)
+    k = draw(st.integers(-(10**40), 10**40))
+    return identity.scale(k)
+
+
+@given(st.data(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_exact_vote_unchanged_by_adding_an_identity(data, seed):
+    expr = data.draw(legal_expressions())
+    identity = data.draw(known_identities(expr.universe.bit_count()))
+    value = residual_report(expr, seed)
+    assert residual_report(expr + identity, seed) == value
+    assert (value == 0) == is_partition_identity(expr)[0]

@@ -3,7 +3,9 @@ import sys
 from pathlib import Path
 
 import mzvident
+import mzvident.identities
 import mzvident.indexsets
+import mzvident.numeric
 import mzvident.partitions
 import mzvident.ratfun
 
@@ -28,6 +30,8 @@ def test_removed_names_are_gone():
     assert not hasattr(mzvident.partitions, "permutations")
     assert not hasattr(mzvident.indexsets, "size")
     assert not {"min_index", "size", "factorial"} & set(mzvident.partitions.__all__)
+    assert not hasattr(mzvident.identities, "NUMERIC_TRIALS")
+    assert not hasattr(mzvident.numeric, "ROUNDING_TOL")
 
 
 def test_import_loads_no_exact_arithmetic_modules():
