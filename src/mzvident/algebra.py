@@ -9,7 +9,8 @@ combination of legal terms over a shared universe.
 
 Normalization multiplies out each term's atoms with the stuffle
 (quasi-shuffle) product, yielding a linear combination of single zeta
-factors indexed by ordered set partitions of the universe.  The
+factors indexed by ordered set partitions of the universe; products of
+depth-1 factors are summed per unordered partition first.  The
 expression vanishes identically iff every canonical coefficient is
 zero.
 """
@@ -19,11 +20,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 from typing import Iterable, Mapping, Optional
 
 from .indexsets import indices_of, min_index
-from .partitions import partition_sort_key
+from .partitions import bell_count, partition_sort_key
 
 Block = int  # non-empty bitmask
 ZetaAtom = tuple[Block, ...]  # ordered, disjoint, non-empty blocks
@@ -49,6 +51,8 @@ def canonical_atoms(atoms: Iterable[ZetaAtom]) -> LegalTerm:
 def validate_legal_term(atoms: Iterable[ZetaAtom], universe: int) -> LegalTerm:
     """Canonicalize `atoms` as a legal term for `universe` or raise."""
     atoms = tuple(atoms)
+    if not atoms:
+        raise LegalityError("empty term")
     seen = 0
     for atom in atoms:
         if not atom:
@@ -225,18 +229,62 @@ def stuffle_size(m: int, n: int) -> int:
     return sum(comb(m, k) * comb(n, k) * 2**k for k in range(min(m, n) + 1))
 
 
-def normalize(expr: Expression) -> CanonicalForm:
-    """Expand every term into single zeta factors via repeated stuffles.
+def _coarsenings(blocks: Iterable[Block]) -> list[tuple[Block, ...]]:
+    """Every unordered partition whose blocks are unions of `blocks`.
 
-    The atoms of a legal term are disjoint, so each folded word occurs
-    exactly once and adds the term's coefficient once.  Before a term is
-    expanded its slot bound, the product of `stuffle_size(depth so far,
-    len(atom))` over the fold (exact for two atoms) times the term's total
-    depth, joins a running total that may not exceed CANONICAL_BUDGET_WORDS.
+    Each block in turn joins one block of every partition built so far
+    or starts a new one.  Given `blocks` sorted by smallest index, every
+    partition lists its blocks sorted by smallest index too.
+    """
+    sigmas: list[tuple[Block, ...]] = [()]
+    for b in blocks:
+        sigmas = [s + (b,) for s in sigmas] + [
+            s[:j] + (s[j] | b,) + s[j + 1 :] for s in sigmas for j in range(len(s))
+        ]
+    return sigmas
+
+
+def normalize(expr: Expression) -> CanonicalForm:
+    """Expand every term into single zeta factors, by one of two paths.
+
+    A term with an atom of depth 2 or more is folded with repeated
+    stuffles.  Its atoms are disjoint, so each folded word occurs exactly
+    once and adds the term's coefficient once.  Before it is expanded its
+    slot bound, the product of `stuffle_size(depth so far, len(atom))`
+    over the fold (exact for two atoms) times the term's total depth,
+    joins a running total.
+
+    A term c*zeta(b_1)...zeta(b_k) of depth-1 atoms puts c on every
+    ordering of every coarsening of {b_1..b_k} (Hoffman's description of
+    the quasi-shuffle), so its coefficient on a key depends only on the
+    key's unordered partition.  Such terms are first summed per unordered
+    partition, g(sigma) = sum of c over the terms that sigma coarsens, by
+    walking each term's Bell(k) coarsenings (the zeta transform on the
+    partition lattice), and each term adds Bell(k) to the running total.
+    After the last term every ordering of each sigma with g(sigma) != 0
+    gets g(sigma); before any is built the total gains r!*r for each such
+    sigma of r blocks.
+
+    The running total may never exceed CANONICAL_BUDGET_WORDS.
     """
     acc: dict[tuple[Block, ...], int] = {}
+    lattice: dict[tuple[Block, ...], int] = {}  # sigma -> g(sigma)
     estimate = 0
+
+    def add(parts: tuple[Block, ...], coeff: int) -> None:
+        c = acc.get(parts, 0) + coeff
+        if c:
+            acc[parts] = c
+        else:
+            acc.pop(parts, None)
+
     for term, coeff in expr.terms.items():
+        if all(len(atom) == 1 for atom in term):
+            estimate += bell_count(len(term))
+            _check_slots(estimate)
+            for sigma in _coarsenings(block for (block,) in term):
+                lattice[sigma] = lattice.get(sigma, 0) + coeff
+            continue
         first, *rest = term
         depth, bound = len(first), 1
         for atom in rest:
@@ -248,11 +296,13 @@ def normalize(expr: Expression) -> CanonicalForm:
         for atom in rest:
             words = [w2 for w in words for w2 in _stuffle_words(w, atom)]
         for parts in words:
-            c = acc.get(parts, 0) + coeff
-            if c:
-                acc[parts] = c
-            else:
-                acc.pop(parts, None)
+            add(parts, coeff)
+    lattice = {sigma: g for sigma, g in lattice.items() if g}
+    estimate += sum(factorial(len(sigma)) * len(sigma) for sigma in lattice)
+    _check_slots(estimate)
+    for sigma, g in lattice.items():
+        for parts in permutations(sigma):
+            add(parts, g)
     return CanonicalForm(expr.universe, acc)
 
 

@@ -27,7 +27,7 @@ from .numeric import residual_report
 from .partitions import unordered_set_partitions
 from .ratfun import ZeroTestTooLarge, is_zero_combination, rational_terms_of_expression
 
-HOFFMAN_CAP = 7
+HOFFMAN_CAP = 8
 
 METHODS = ("canonical", "rational", "numeric")
 

@@ -48,30 +48,23 @@ _TOKEN_RE = re.compile(
       | (?P<int>\d+)
       | (?P<zeta>zeta)
       | (?P<op>[+\-*(),])
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # Every non-space character starts some match, so the matches tile the
+    # text up to its trailing whitespace; an error is reported at the end
+    # of the previous token.
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group("var"):
-            tokens.append(("var", m.group("varidx"), m.start("var")))
-        elif m.group("int"):
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("zeta"):
-            tokens.append(("zeta", "zeta", m.start("zeta")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
+        value = m.group("varidx") if kind == "var" else m.group(kind)
+        tokens.append((kind, value, m.start(kind)))
     tokens.append(("eof", "", len(text)))
     return tokens
 

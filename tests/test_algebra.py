@@ -1,9 +1,10 @@
 import random
 import tracemalloc
 from collections import Counter
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mzvident.algebra
@@ -20,6 +21,7 @@ from mzvident.algebra import (
 )
 from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
 from mzvident.indexsets import full_universe, mask_of
+from mzvident.partitions import unordered_set_partitions
 from mzvident.parsing import parse
 
 def blk(*idx):
@@ -52,6 +54,15 @@ def test_validate_missing_variable():
 def test_validate_reused_variable():
     with pytest.raises(LegalityError, match="variable reused"):
         validate_legal_term([(blk(1),), (blk(1, 2),)], full_universe(2))
+
+
+def test_validate_empty_term():
+    with pytest.raises(LegalityError, match="empty term"):
+        validate_legal_term((), 0)
+    with pytest.raises(LegalityError, match="empty term"):
+        Expression.build(0, [(3, ())])
+    with pytest.raises(LegalityError, match="empty term"):
+        Expression.build(full_universe(1), [(1, ((blk(1),),)), (3, ())])
 
 
 def test_validate_empty_block():
@@ -144,27 +155,57 @@ def test_canonical_budget_boundary(monkeypatch):
     assert len(stuffle_product(u, v)) == stuffle_size(2, 2) == 13  # 13 * 4 slots
     with pytest.raises(ValueError, match="estimate 125 slots > budget 52 slots"):
         stuffle_product(u, v + (blk(5),))
-    # normalize adds the term bounds: 52 for the product, and each single
-    # word's length, 44 over the 13 words.
+    # normalize adds the term bounds: 52 for the two-atom fold term, and
+    # each single word's length, 44 over the 13 words.
     expr = stuffle_identity(u, v)
     monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 96)
     assert normalize(expr).is_zero()
     monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 95)
     with pytest.raises(ValueError, match="estimate 96 slots > budget 95 slots"):
         normalize(expr)
-    # Beyond two atoms the bound multiplies stuffle_size(depth so far, len(atom)):
-    # 3 * 5 = 15 words of length at most 3 for zeta(s1)*zeta(s2)*zeta(s3),
-    # which has 13 words.
+    # A product of depth-1 atoms adds Bell(3) = 5 for its coarsenings, then
+    # r! * r for each coarsening of r blocks before its orderings are built:
+    # 1 + 3 * 4 + 18 = 31, for the 13 words of zeta(s1)*zeta(s2)*zeta(s3).
     triple = parse("zeta(s1)*zeta(s2)*zeta(s3)")
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 45)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 36)
     assert len(normalize(triple).coeffs) == 13
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 44)
-    with pytest.raises(ValueError, match="estimate 45 slots > budget 44 slots"):
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 35)
+    with pytest.raises(ValueError, match="estimate 36 slots > budget 35 slots"):
         normalize(triple)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 4)
+    with pytest.raises(ValueError, match="estimate 5 slots > budget 4 slots"):
+        normalize(triple)
+
+
+def _stirling2(n, r):
+    if n == 0 or r == 0:
+        return int(n == r)
+    return r * _stirling2(n - 1, r) + _stirling2(n - 1, r - 1)
+
+
+def test_long_depth_one_product_refused_before_its_orderings():
+    # zeta(s1)...zeta(s10) has Bell(10) = 115,975 coarsenings, whose
+    # 102,247,563 orderings would take tens of GB.
+    expr = parse("*".join(f"zeta(s{j})" for j in range(1, 11)))
+    orderings = sum(_stirling2(10, r) * factorial(r) * r for r in range(1, 11))
+    want = f"estimate {115975 + orderings} slots > budget {CANONICAL_BUDGET_WORDS} slots"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="canonical expansion refused") as info:
+            normalize(expr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert want in str(info.value)
+    assert peak < 64 << 20
 
 
 def test_hoffman_seven_within_canonical_budget():
     assert normalize(hoffman_identity(7)).is_zero()
+
+
+def test_hoffman_eight_within_canonical_budget():
+    assert normalize(hoffman_identity(8)).is_zero()
 
 
 def test_stuffle_size_values():
@@ -254,6 +295,59 @@ def test_normalize_matches_reference_fold():
     for _ in range(40):
         expr = random_expression(full_universe(rng.randint(1, 5)), rng)
         assert dict(normalize(expr).coeffs) == _reference_normalize(expr)
+
+
+def _expansion_identity(atoms):
+    """The product of `atoms` minus each word of its expansion."""
+    universe = 0
+    for atom in atoms:
+        for b in atom:
+            universe |= b
+    entries = [(1, atoms)]
+    entries += [(-c, (w,)) for w, c in _reference_normalize(Expression.build(universe, entries)).items()]
+    return Expression.build(universe, entries)
+
+
+def _mixed_expression(rng):
+    """Products of up to 6 depth-1 factors mixed with deeper terms."""
+    universe = full_universe(rng.randint(1, 7))
+    flat = [p for p in unordered_set_partitions(universe) if len(p) <= 6]
+    entries = []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.6:
+            atoms = tuple((p,) for p in rng.choice(flat))
+        else:
+            atoms = _random_atom_partition(rng, universe)
+        entries.append((rng.randint(-3, 3), atoms))
+    expr = Expression.build(universe, entries)
+    if rng.random() < 0.5:
+        # Cancellation across the two paths: the product's own words are
+        # single atoms, all deeper than 1 but the one of a single block.
+        atoms = tuple((p,) for p in rng.choice(flat))
+        expr = expr + _expansion_identity(atoms).scale(rng.randint(-5, 5))
+    return expr
+
+
+def test_normalize_mixed_paths_match_reference_fold():
+    rng = random.Random(71)
+    for _ in range(60):
+        expr = _mixed_expression(rng)
+        assert dict(normalize(expr).coeffs) == _reference_normalize(expr)
+    for text in (
+        "zeta(s1)*zeta(s2) - zeta(s1,s2) - zeta(s2,s1) - zeta(s1+s2)",
+        "zeta(s1)*zeta(s2)*zeta(s3) - zeta(s1,s2)*zeta(s3) - zeta(s2,s1)*zeta(s3)"
+        " - zeta(s1+s2)*zeta(s3)",
+    ):
+        assert normalize(parse(text)).is_zero()
+    u = (blk(1), blk(2), blk(3), blk(4), blk(5), blk(6))
+    assert normalize(_expansion_identity(tuple((b,) for b in u))).is_zero()
+
+
+@given(st.integers(1, 5), st.integers(0, 10_000), st.integers(-(10**6), 10**6))
+@settings(max_examples=60, deadline=None)
+def test_adding_hoffman_identity_keeps_canonical_form(n, seed, k):
+    expr = random_expression(full_universe(n), random.Random(seed))
+    assert normalize(expr + hoffman_identity(n).scale(k)) == normalize(expr)
 
 
 # --- normalization ---------------------------------------------------------

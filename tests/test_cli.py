@@ -97,6 +97,18 @@ def test_canonical_expansion_over_budget(capsys):
         )
 
 
+def test_long_depth_one_product_over_budget(capsys):
+    # Bell(10) coarsenings, then r! * r slots for each of their orderings.
+    product = "*".join(f"zeta(s{j})" for j in range(1, 11))
+    for command in ("normalize", "verify"):
+        code, out, err = run(capsys, command, product)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: canonical expansion refused: estimate 760308480 slots"
+            " > budget 4194304 slots\n"
+        )
+
+
 def test_verify_structured_format(capsys):
     code, out, _ = run(capsys, "verify", EXAMPLE_TEXT, "--format", "structured")
     assert code == 0
@@ -173,6 +185,7 @@ def test_hoffman_verify(capsys):
 def test_hoffman_out_of_range(capsys):
     code, _, err = run(capsys, "hoffman", "99")
     assert code == 2
+    assert err == "error: n must be in 1..8\n"
 
 
 def test_rational_command(capsys):

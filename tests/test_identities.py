@@ -7,6 +7,7 @@ import pytest
 
 from mzvident.algebra import (
     Expression,
+    LegalityError,
     is_partition_identity,
     normalize,
 )
@@ -19,7 +20,7 @@ from mzvident.identities import (
 )
 from mzvident.indexsets import full_universe, mask_of
 from mzvident.numeric import random_assignment, residuals, term_values
-from mzvident.parsing import parse, serialize
+from mzvident.parsing import ParseError, parse, serialize
 from mzvident.partitions import bell_count
 from mzvident.ratfun import is_zero_combination, rational_terms_of_expression
 
@@ -95,8 +96,20 @@ def test_hoffman_identity_holds_up_to_six():
 def test_hoffman_out_of_range():
     with pytest.raises(ValueError):
         hoffman_identity(0)
-    with pytest.raises(ValueError):
-        hoffman_identity(8)
+    with pytest.raises(ValueError, match=r"n must be in 1\.\.8"):
+        hoffman_identity(9)
+
+
+def test_verify_never_sees_an_empty_term():
+    # The library's one builder refuses an empty term, the parser cannot
+    # express one, and the empty stuffle identity has no terms at all.
+    with pytest.raises(LegalityError, match="empty term"):
+        verify(Expression.build(0, [(3, ())]))
+    for text in ("", "  ", "2*"):
+        with pytest.raises(ParseError):
+            verify(parse(text))
+    empty = stuffle_identity((), ())
+    assert not empty.terms and verify(empty).is_identity
 
 
 def test_hoffman_rational_form():

@@ -104,6 +104,37 @@ def test_parse_syntax_error_position():
         parse("zeta(s1) @")
 
 
+# Malformed inputs with their exact messages and positions.
+MALFORMED = [
+    ("zeta(s1) # x", "unexpected character '#'", 8),
+    ("#", "unexpected character '#'", 0),
+    ("s", "unexpected character 's'", 0),
+    ("zeta(s)", "unexpected character 's'", 5),
+    ("zeta(s1)  $", "unexpected character '$'", 8),
+    ("zet(s1)", "unexpected character 'z'", 0),
+    ("zeta(s0)", "variable index must be >= 1", 5),
+    ("zeta(", "expected 'var', found 'end of input'", 5),
+    ("2*", "expected 'zeta', found 'end of input'", 2),
+    ("zeta(s1) +", "expected 'zeta', found 'end of input'", 10),
+    ("zeta(s1) + ", "expected 'zeta', found 'end of input'", 11),
+    ("zeta(s1,)", "expected 'var', found ')'", 8),
+    ("3 zeta(s1)", "expected '*', found 'zeta'", 2),
+    ("zeta(s1)zeta(s2)", "expected 'eof', found 'zeta'", 8),
+    ("   ", "expected 'zeta', found 'end of input'", 3),
+    ("", "expected 'zeta', found 'end of input'", 0),
+]
+
+
+def test_parse_error_messages_pinned():
+    for text, message, pos in MALFORMED:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})", text
+        assert info.value.pos == pos
+    # Trailing whitespace of any kind ends the input.
+    assert parse(" zeta(s1,s2) \t\n") == parse("zeta(s1,s2)")
+
+
 def test_parse_declared_universe_must_cover():
     with pytest.raises(ParseError, match="variable missing"):
         parse("zeta(s1)", universe=2)
