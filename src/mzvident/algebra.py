@@ -164,7 +164,7 @@ StuffleResult = Counter  # tuple of blocks -> multiplicity
 
 # Most word slots (words times their length bound) one call may build: a
 # single stuffle_product, or normalize's running total of term bounds.
-# Hoffman n=7 (3,113,419 slots) fits; two depth-9 atoms (26,326,134) do not.
+# Hoffman n=8 (1,564,179 slots) fits; two depth-9 atoms (26,326,134) do not.
 CANONICAL_BUDGET_WORDS = 1 << 22
 
 
@@ -260,7 +260,8 @@ def normalize(expr: Expression) -> CanonicalForm:
     key's unordered partition.  Such terms are first summed per unordered
     partition, g(sigma) = sum of c over the terms that sigma coarsens, by
     walking each term's Bell(k) coarsenings (the zeta transform on the
-    partition lattice), and each term adds Bell(k) to the running total.
+    partition lattice), and each term adds Bell(k)*k to the running total
+    before any is built, since a coarsening holds up to k blocks.
     After the last term every ordering of each sigma with g(sigma) != 0
     gets g(sigma); before any is built the total gains r!*r for each such
     sigma of r blocks.
@@ -280,7 +281,7 @@ def normalize(expr: Expression) -> CanonicalForm:
 
     for term, coeff in expr.terms.items():
         if all(len(atom) == 1 for atom in term):
-            estimate += bell_count(len(term))
+            estimate += bell_count(len(term)) * len(term)
             _check_slots(estimate)
             for sigma in _coarsenings(block for (block,) in term):
                 lattice[sigma] = lattice.get(sigma, 0) + coeff

@@ -8,8 +8,9 @@ Grammar (whitespace-insensitive):
     arg         := var { '+' var }
     var         := 's' positive-integer
 
-Each variable must appear exactly once per term; the universe is the union
-of the indices (and must agree across terms) unless declared explicitly.
+Integers are ASCII digits.  Each variable must appear exactly once per
+term; the universe is the union of the indices (and must agree across
+terms) unless declared explicitly.
 The bare string "0" denotes the zero expression.
 
 The structured output format is JSON with stable, documented field names;
@@ -44,8 +45,8 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""\s*(?:
-        (?P<var>s(?P<varidx>\d+))
-      | (?P<int>\d+)
+        (?P<var>s(?P<varidx>[0-9]+))
+      | (?P<int>[0-9]+)
       | (?P<zeta>zeta)
       | (?P<op>[+\-*(),])
       | (?P<bad>\S)
@@ -153,13 +154,72 @@ class _Parser:
         return entries, starts
 
 
+# `arg {',' arg}` with `arg := var {'+' var}` is `var {('+'|',') var}`; the
+# shorter pattern compiles ten times faster than the nested one.
+_FACTOR = r"zeta\s*\(\s*s[0-9]+(?:\s*[+,]\s*s[0-9]+)*\s*\)"
+# One whole term and the sign before it (group 1): the term (group 2) is an
+# optional coefficient (group 3), then its factors (group 4).
+_TERM_RE = re.compile(
+    rf"\s*(?:([+-])\s*)?((?:([0-9]+)\s*\*\s*)?({_FACTOR}(?:\s*\*\s*{_FACTOR})*))"
+)
+_ARGLIST_RE = re.compile(r"\(([^)]*)\)")
+
+
+def _scan(text: str) -> Optional[tuple[list[tuple[int, list[ZetaAtom]]], list[int]]]:
+    """What `_Parser(text).parse_expr()` returns, read one term per match.
+
+    Returns None, and never raises, when the text is not a well-formed
+    expression with indices in 1..63 and no index repeated in a block; the
+    token parser then says what is wrong.  Each distinct block text is
+    converted to its mask once.
+    """
+    masks: dict[str, int] = {}
+    entries = []
+    starts = []
+    pos = 0
+    while term := _TERM_RE.match(text, pos):
+        sign = term.group(1)
+        # Only '-' may lead the first term, and every later one needs a sign.
+        if sign == ("+" if not entries else None):
+            return None
+        atoms = []
+        for arglist in _ARGLIST_RE.findall(text, term.start(4), term.end()):
+            atom = []
+            for block in arglist.split(","):
+                mask = masks.get(block)
+                if mask is None:
+                    try:
+                        mask = mask_of(int(var.strip()[1:]) for var in block.split("+"))
+                    except ValueError:
+                        return None
+                    masks[block] = mask
+                atom.append(mask)
+            atoms.append(tuple(atom))
+        try:
+            coeff = int(term.group(3) or 1)
+        except ValueError:  # more digits than int() converts
+            return None
+        entries.append((-coeff if sign == "-" else coeff, atoms))
+        starts.append(term.start(2))
+        pos = term.end()
+    if not entries or text[pos:].strip():
+        return None
+    return entries, starts
+
+
 def parse(text: str, universe: Optional[int] = None) -> Expression:
-    """Parse expression text; `universe` declares the variable count n."""
+    """Parse expression text; `universe` declares the variable count n.
+
+    Well-formed text is read by `_scan`; anything it does not accept goes
+    to the token parser, the one source of syntax error messages.
+    """
     declared = full_universe(universe) if universe else None
     if text.strip() == "0":
         return Expression(declared or 0, {})
-    parser = _Parser(text)
-    entries, starts = parser.parse_expr()
+    scanned = _scan(text)
+    if scanned is None:
+        scanned = _Parser(text).parse_expr()
+    entries, starts = scanned
     supports = []
     for _, atoms in entries:
         m = 0

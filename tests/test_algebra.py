@@ -163,17 +163,18 @@ def test_canonical_budget_boundary(monkeypatch):
     monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 95)
     with pytest.raises(ValueError, match="estimate 96 slots > budget 95 slots"):
         normalize(expr)
-    # A product of depth-1 atoms adds Bell(3) = 5 for its coarsenings, then
-    # r! * r for each coarsening of r blocks before its orderings are built:
-    # 1 + 3 * 4 + 18 = 31, for the 13 words of zeta(s1)*zeta(s2)*zeta(s3).
+    # A product of k = 3 depth-1 atoms adds Bell(3) * 3 = 15 for its
+    # coarsenings of up to 3 blocks, then r! * r for each coarsening of r
+    # blocks before its orderings are built: 1 + 3 * 4 + 18 = 31, for the
+    # 13 words of zeta(s1)*zeta(s2)*zeta(s3).
     triple = parse("zeta(s1)*zeta(s2)*zeta(s3)")
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 36)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 46)
     assert len(normalize(triple).coeffs) == 13
-    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 35)
-    with pytest.raises(ValueError, match="estimate 36 slots > budget 35 slots"):
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 45)
+    with pytest.raises(ValueError, match="estimate 46 slots > budget 45 slots"):
         normalize(triple)
     monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 4)
-    with pytest.raises(ValueError, match="estimate 5 slots > budget 4 slots"):
+    with pytest.raises(ValueError, match="estimate 15 slots > budget 4 slots"):
         normalize(triple)
 
 
@@ -184,11 +185,11 @@ def _stirling2(n, r):
 
 
 def test_long_depth_one_product_refused_before_its_orderings():
-    # zeta(s1)...zeta(s10) has Bell(10) = 115,975 coarsenings, whose
-    # 102,247,563 orderings would take tens of GB.
+    # zeta(s1)...zeta(s10) has Bell(10) = 115,975 coarsenings of up to 10
+    # blocks, whose 102,247,563 orderings would take tens of GB.
     expr = parse("*".join(f"zeta(s{j})" for j in range(1, 11)))
     orderings = sum(_stirling2(10, r) * factorial(r) * r for r in range(1, 11))
-    want = f"estimate {115975 + orderings} slots > budget {CANONICAL_BUDGET_WORDS} slots"
+    want = f"estimate {115975 * 10 + orderings} slots > budget {CANONICAL_BUDGET_WORDS} slots"
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="canonical expansion refused") as info:
@@ -198,6 +199,22 @@ def test_long_depth_one_product_refused_before_its_orderings():
         tracemalloc.stop()
     assert want in str(info.value)
     assert peak < 64 << 20
+
+
+def test_eleven_depth_one_factors_refused_before_their_coarsenings():
+    # Bell(11) * 11 = 7,464,270 slots exceed the budget, so none of the
+    # 678,570 coarsenings is built.
+    expr = parse("*".join(f"zeta(s{j})" for j in range(1, 12)))
+    want = f"estimate {678570 * 11} slots > budget {CANONICAL_BUDGET_WORDS} slots"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="canonical expansion refused") as info:
+            normalize(expr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert want in str(info.value)
+    assert peak < 1 << 20
 
 
 def test_hoffman_seven_within_canonical_budget():

@@ -36,6 +36,13 @@ def test_verify_syntax_error_exit_two(capsys):
     assert "error" in err
 
 
+def test_non_ascii_digits_rejected(capsys):
+    # U+0663 and U+0661, U+0662 are Arabic-Indic digits three, one and two.
+    code, out, err = run(capsys, "normalize", "\u0663*zeta(s\u0661,s\u0662)")
+    assert code == 2 and out == ""
+    assert err == "error: unexpected character '\u0663' (at position 0)\n"
+
+
 def test_verify_gapped_universe_rejected(capsys):
     code, _, err = run(capsys, "verify", "zeta(s1+s3)")
     assert code == 2
@@ -98,13 +105,26 @@ def test_canonical_expansion_over_budget(capsys):
 
 
 def test_long_depth_one_product_over_budget(capsys):
-    # Bell(10) coarsenings, then r! * r slots for each of their orderings.
+    # Bell(10) * 10 slots for the coarsenings of up to 10 blocks, then r! * r
+    # slots for each of their orderings.
     product = "*".join(f"zeta(s{j})" for j in range(1, 11))
     for command in ("normalize", "verify"):
         code, out, err = run(capsys, command, product)
         assert code == 2 and out == ""
         assert err == (
-            "error: canonical expansion refused: estimate 760308480 slots"
+            "error: canonical expansion refused: estimate 761352255 slots"
+            " > budget 4194304 slots\n"
+        )
+
+
+def test_eleven_depth_one_factors_over_budget(capsys):
+    # Refused by the coarsenings' Bell(11) * 11 slots alone.
+    product = "*".join(f"zeta(s{j})" for j in range(1, 12))
+    for command in ("normalize", "verify"):
+        code, out, err = run(capsys, command, product)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: canonical expansion refused: estimate 7464270 slots"
             " > budget 4194304 slots\n"
         )
 

@@ -1,14 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mzvident.parsing
 from mzvident.algebra import CanonicalForm, normalize, stuffle_product
-from mzvident.identities import random_expression
+from mzvident.identities import hoffman_identity, random_expression
 from mzvident.indexsets import full_universe, mask_of
 from mzvident.parsing import (
     ParseError,
+    _Parser,
+    _scan,
     expression_text,
     parse,
     parse_arglist,
@@ -133,6 +137,93 @@ def test_parse_error_messages_pinned():
         assert info.value.pos == pos
     # Trailing whitespace of any kind ends the input.
     assert parse(" zeta(s1,s2) \t\n") == parse("zeta(s1,s2)")
+
+
+def test_parse_rejects_non_ascii_digits():
+    # The grammar's integers are ASCII; U+0661 is ARABIC-INDIC DIGIT ONE.
+    for text, char, pos in (("zeta(s\u0661)", "s", 5), ("\u0663*zeta(s1)", "\u0663", 0)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"unexpected character {char!r} (at position {pos})"
+
+
+# Tokens of expression text, valid and not, for the scanner properties.
+SOUP = ["zeta", "(", ")", ",", "+", "-", "*", "s0", "s1", "s2", "s3", "s64", "s01",
+        "2", "0", "12", " ", "\t", "x"]
+VARS = ["s1", "s2", "s3", "s4", "s5", "s6", "s01", "s12", "s63", "s0", "s64"]
+SPACES = ["", "", " ", "\t", "\n"]
+
+
+@st.composite
+def token_soup(draw):
+    """Expression-shaped token lists, some edited by a few SOUP tokens."""
+
+    def pick(options):
+        return draw(st.sampled_from(options))
+
+    def count(most):
+        return range(draw(st.integers(1, most)))
+
+    tokens = ["-"] if draw(st.booleans()) else []
+    for t in count(3):
+        tokens += [pick(["+", "-"])] if t else []
+        tokens += [pick(["2", "0", "12"]), "*"] if draw(st.booleans()) else []
+        for f in count(3):
+            tokens += ["*", "zeta", "("] if f else ["zeta", "("]
+            for a in count(3):
+                tokens += [","] if a else []
+                for v in count(2):
+                    tokens += ["+", pick(VARS)] if v else [pick(VARS)]
+            tokens.append(")")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        tokens[i : i + draw(st.integers(0, 1))] = [pick(SOUP)] * draw(st.integers(0, 1))
+    return pick(SPACES) + "".join(tok + pick(SPACES) for tok in tokens)
+
+
+@given(token_soup())
+@settings(max_examples=250, deadline=None)
+def test_scanner_agrees_with_token_parser(text):
+    try:
+        want = _Parser(text).parse_expr()
+    except ParseError:
+        want = None
+    got = _scan(text)
+    if got is not None:
+        assert got == want, text
+    if want is not None:
+        assert got is not None, text
+
+
+def test_valid_text_never_reaches_token_parser(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"token parser reached on {text!r}")
+
+    exprs = [hoffman_identity(n).scale(k) for n in range(2, 7) for k in (1, -3)]
+    rng = random.Random(8)
+    while len(exprs) < 212:
+        expr = random_expression(full_universe(rng.randint(1, 5)), rng)
+        if not expr.is_zero():
+            exprs.append(expr)
+    monkeypatch.setattr(mzvident.parsing, "_Parser", refuse)
+    for expr in exprs:
+        text = expression_text(expr)
+        assert parse(text) == expr
+        spaced = text.replace("(", " ( ").replace(",", "\t,\n").replace("*", " * ")
+        assert parse(f" \n{spaced}\t ") == expr
+        assert parse(text.replace(" ", "")) == expr
+
+
+def test_long_whitespace_scanned_in_linear_time():
+    # A pattern that could split a run of spaces two ways would take
+    # quadratic time, tens of seconds here, before rejecting the text.
+    spaces = " " * 30_000
+    start = time.perf_counter()
+    for head, pos in (("", 0), ("zeta(s1)", 8), ("zeta(s1) -", 10)):
+        with pytest.raises(ParseError, match=f"unexpected character 'x' \\(at position {pos}\\)"):
+            parse(head + spaces + "x")
+    assert parse(spaces + "zeta(s1)" + spaces + "-" + spaces + "zeta(s1)" + spaces).is_zero()
+    assert time.perf_counter() - start < 2
 
 
 def test_parse_declared_universe_must_cover():
