@@ -8,6 +8,7 @@ limited to indices 1..63.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 MAX_INDEX = 63
@@ -26,8 +27,13 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+@lru_cache(maxsize=1 << 12)
 def indices_of(mask: int) -> tuple[int, ...]:
-    """Members of a bitmask in ascending order."""
+    """Members of a bitmask in ascending order.
+
+    Cached, because sort keys and renderers ask for the same blocks many
+    times; 2^12 entries hold every block over n <= 12 variables.
+    """
     out = []
     i = 1
     while mask:

@@ -31,7 +31,7 @@ from .algebra import (
     ZetaAtom,
 )
 from .identities import METHODS, IdentityReport
-from .indexsets import full_universe, indices_of, mask_of
+from .indexsets import MAX_INDEX, full_universe, indices_of, mask_of
 from .partitions import partition_sort_key
 
 
@@ -95,7 +95,10 @@ class _Parser:
         indices = []
         while True:
             kind, val, pos = self.expect("var")
-            idx = int(val)
+            try:
+                idx = int(val)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"variable index out of range 1..{MAX_INDEX}", pos) from None
             if idx == 0:
                 raise ParseError("variable index must be >= 1", pos)
             indices.append(idx)
@@ -126,7 +129,11 @@ class _Parser:
     def parse_term(self) -> tuple[int, list[ZetaAtom]]:
         coeff = 1
         if self.peek()[0] == "int":
-            coeff = int(self.next()[1])
+            _, digits, pos = self.next()
+            try:
+                coeff = int(digits)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("coefficient too long", pos) from None
             self.expect("op", "*")
         atoms = [self.parse_factor()]
         while self.peek()[:2] == ("op", "*"):
@@ -309,8 +316,10 @@ def report_text(report: IdentityReport) -> str:
 # --- structured (JSON) encoding -------------------------------------------
 
 
-def _blocks_json(atom: ZetaAtom) -> list[list[int]]:
-    return [list(indices_of(b)) for b in atom]
+def _blocks_json(atom: ZetaAtom) -> list[tuple[int, ...]]:
+    # The cached index tuples themselves, so `_dumps` sees equal blocks as
+    # equal keys.
+    return [indices_of(b) for b in atom]
 
 
 def expression_json(expr: Expression) -> dict:
@@ -369,13 +378,47 @@ _RENDERERS = {
 }
 
 
+def _dumps(doc) -> str:
+    """What `json.dumps(doc, sort_keys=True, indent=2)` writes, for the
+    documents the structured renderers build: dicts with str keys, lists,
+    tuples of ints (one block's indices each), ints and bools.
+
+    Ints are written by `str`, and strings, bools and anything else by
+    `json.dumps`, so escaping and the int digit limit stay the stdlib's.
+    Each distinct tuple or string is rendered once per depth; with `indent`
+    set the stdlib runs its pure-Python encoder on every occurrence.
+    """
+    memo: dict = {}
+
+    def dump(value, indent: str) -> str:
+        kind = type(value)
+        if kind is int:
+            return str(value)
+        if kind is tuple or kind is str:
+            key = (value, indent)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = dump(list(value), indent) if kind is tuple else json.dumps(value)
+            return text
+        if not value or (kind is not list and kind is not dict):
+            return json.dumps(value)
+        inner = indent + "  "
+        if kind is list:
+            items = [dump(v, inner) for v in value]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        items = [dump(k, inner) + ": " + dump(value[k], inner) for k in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+
+    return dump(doc, "")
+
+
 def serialize(obj, fmt: str = "text") -> str:
     """Render a core object as canonical text or structured JSON."""
     text, structured = _RENDERERS.get(type(obj), (stuffle_text, stuffle_json))
     if fmt == "text":
         return text(obj)
     if fmt == "structured":
-        return json.dumps(structured(obj), sort_keys=True, indent=2)
+        return _dumps(structured(obj))
     raise ValueError(f"unknown format: {fmt}")
 
 

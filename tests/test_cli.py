@@ -43,6 +43,15 @@ def test_non_ascii_digits_rejected(capsys):
     assert err == "error: unexpected character '\u0663' (at position 0)\n"
 
 
+def test_huge_integers_exit_two(capsys):
+    code, out, err = run(capsys, "normalize", "1" * 5000 + "*zeta(s1)")
+    assert code == 2 and out == ""
+    assert err == "error: coefficient too long (at position 0)\n"
+    code, out, err = run(capsys, "verify", "zeta(s" + "1" * 5000 + ")")
+    assert code == 2 and out == ""
+    assert err == "error: variable index out of range 1..63 (at position 5)\n"
+
+
 def test_verify_gapped_universe_rejected(capsys):
     code, _, err = run(capsys, "verify", "zeta(s1+s3)")
     assert code == 2
@@ -160,6 +169,17 @@ def test_normalize(capsys):
     code, out, _ = run(capsys, "normalize", "zeta(s2)*zeta(s1+s3)")
     assert code == 0
     assert out.strip() == "zeta(s1+s2+s3) + zeta(s1+s3,s2) + zeta(s2,s1+s3)"
+
+
+def test_normalize_structured_is_the_stdlib_layout(capsys):
+    # The largest structured output the benchmark produces: 16,081 keys.
+    code, out, _ = run(capsys, "normalize", "zeta(s1,s2,s3)*zeta(s4,s5,s6)*zeta(s7,s8,s9)",
+                       "--format", "structured")
+    assert code == 0
+    assert len(json.loads(out)["coeffs"]) == 16081
+    # Compared outside the assert, so a failure does not diff two 5 MB strings.
+    same = out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert same, "structured stdout differs from json.dumps of itself"
 
 
 def test_normalize_identity_prints_zero(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -7,16 +8,20 @@ from hypothesis import strategies as st
 
 import mzvident.parsing
 from mzvident.algebra import CanonicalForm, normalize, stuffle_product
-from mzvident.identities import hoffman_identity, random_expression
+from mzvident.identities import hoffman_identity, random_expression, verify
 from mzvident.indexsets import full_universe, mask_of
 from mzvident.parsing import (
     ParseError,
     _Parser,
     _scan,
+    canonical_json,
+    expression_json,
     expression_text,
     parse,
     parse_arglist,
+    report_json,
     serialize,
+    stuffle_json,
 )
 
 
@@ -137,6 +142,25 @@ def test_parse_error_messages_pinned():
         assert info.value.pos == pos
     # Trailing whitespace of any kind ends the input.
     assert parse(" zeta(s1,s2) \t\n") == parse("zeta(s1,s2)")
+
+
+def test_huge_integers_raise_parse_error():
+    # Past Python's 4,300-digit limit int() raises ValueError; the parser
+    # reports it at the token, like any other malformed number.
+    huge = "1" * 5000
+    for text, message, pos in (
+        (huge + "*zeta(s1)", "coefficient too long", 0),
+        ("zeta(s1) - " + huge + "*zeta(s1)", "coefficient too long", 11),
+        ("zeta(s" + huge + ")", "variable index out of range 1..63", 5),
+        ("zeta(s1,s" + "0" * 4400 + "1)", "variable index out of range 1..63", 8),
+    ):
+        assert _scan(text) is None
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {pos})"
+        assert info.value.pos == pos
+    with pytest.raises(ParseError, match="variable index out of range 1..63 \\(at position 3\\)"):
+        parse_arglist("s1,s" + huge)
 
 
 def test_parse_rejects_non_ascii_digits():
@@ -295,3 +319,42 @@ def test_roundtrip_property(n, seed):
     expr = random_expression(full_universe(n), rng)
     if not expr.is_zero():
         assert parse(expression_text(expr)) == expr
+
+
+def assert_structured_matches_stdlib(obj, structured):
+    # The stdlib's indented encoding is the reference for the writer.
+    assert serialize(obj, "structured") == json.dumps(structured(obj), sort_keys=True, indent=2)
+
+
+@given(st.integers(1, 6), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_structured_writer_matches_stdlib(n, seed):
+    rng = random.Random(seed)
+    expr = random_expression(full_universe(n), rng)
+    assert_structured_matches_stdlib(expr, expression_json)
+    assert_structured_matches_stdlib(normalize(expr), canonical_json)
+    assert_structured_matches_stdlib(verify(expr, seed=seed), report_json)
+    for term in expr.terms:
+        if len(term) >= 2:
+            assert_structured_matches_stdlib(stuffle_product(term[0], term[1]), stuffle_json)
+            break
+
+
+def test_structured_writer_edge_cases():
+    zero = parse("0")
+    assert '"terms": []' in serialize(zero, "structured")
+    assert '"coeffs": []' in serialize(normalize(parse(EXAMPLE_TEXT)), "structured")
+    not_identity = verify(parse("zeta(s1)*zeta(s2) - zeta(s1,s2)"))
+    assert '"witness"' in serialize(not_identity, "structured")
+    skipped = verify(hoffman_identity(6))  # all methods; rational is skipped at n = 6
+    assert '"skipped"' in serialize(skipped, "structured")
+    big = parse(f"-{10**40 + 7}*zeta(s1,s2) + {3 * 10**45}*zeta(s2)*zeta(s1) - 2*zeta(s2,s1)")
+    for expr in (zero, big):
+        assert_structured_matches_stdlib(expr, expression_json)
+        assert_structured_matches_stdlib(normalize(expr), canonical_json)
+    for report in (not_identity, skipped, verify(big)):
+        assert_structured_matches_stdlib(report, report_json)
+    assert_structured_matches_stdlib(stuffle_product((blk(1, 3),), ()), stuffle_json)
+    # The same block and key at two depths are rendered once per depth.
+    doc = {"parts": [(1, 2), ()], "witness": {"parts": [(1, 2)], "x": {"parts": "é\n"}}}
+    assert mzvident.parsing._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
