@@ -14,6 +14,7 @@ from mzvident.partitions import ordered_set_partitions
 from mzvident.ratfun import (
     KRONECKER_BUDGET_BITS,
     ZeroTestTooLarge,
+    _packed_numerator,
     is_zero_combination,
     kronecker_layout,
     rational_term_of,
@@ -156,6 +157,70 @@ def test_over_budget_refused_before_packing():
     assert str(info.value.estimate) in str(info.value)
     # The packed numerator alone would take estimate / 8 bytes (about 12 GB).
     assert peak < 1 << 20
+
+
+def flat_packed_numerator(terms, layout):
+    """Test-only reference: every term walked through each factor it lacks."""
+    total = 0
+    for coeff, factors in terms:
+        v = coeff
+        for support, mult, shift in layout:
+            for _ in range(mult - factors.get(support, 0)):
+                v = (v << shift) - v
+        total += v
+    return total
+
+
+def assert_same_packing(terms, n):
+    layout, _ = kronecker_layout(terms, n)
+    assert _packed_numerator(terms, layout) == flat_packed_numerator(terms, layout)
+
+
+def test_factored_packing_matches_flat_random():
+    rng = random.Random(37)
+    for i in range(200):
+        n = rng.randint(1, 4)
+        expr = random_expression(full_universe(n), rng)
+        if i % 2:
+            expr = expr + random_identity(n, rng).scale(rng.choice([-3, -1, 2, 5]))
+        assert_same_packing(rats_of(expr), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_factored_packing_matches_flat_hoffman(n):
+    assert_same_packing(rats_of(hoffman_identity(n)), n)
+
+
+def test_factored_packing_matches_flat_edge_cases():
+    full = Counter({blk(1): 1, blk(1, 2): 1, blk(2): 1})
+    a = Counter({blk(1): 2, blk(1, 2): 1})
+    b = Counter({blk(2): 1})
+    cases = [
+        [],
+        [(7, b)],
+        # The first term lacks no factor of the common denominator.
+        [(3, full), (-1, b), (2, Counter({blk(1): 1}))],
+        # Equal factorizations, apart in input order, with others between.
+        [(1, a), (4, b), (-2, a), (5, full), (1, a), (-4, b)],
+    ]
+    for terms in cases:
+        assert_same_packing(terms, 2)
+    assert is_zero_combination([], 2)
+
+
+def test_factored_pass_memory_on_hoffman_five():
+    # The pass holds one partial sum per open factor level, each below the
+    # packed estimate.  It reads 5.2 times estimate / 8 bytes here; summing
+    # the terms in ascending order instead would read 8.4.
+    terms = rats_of(hoffman_identity(5))
+    _, estimate = kronecker_layout(terms, 5)
+    tracemalloc.start()
+    try:
+        assert is_zero_combination(terms, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * estimate // 8
 
 
 def test_no_false_zero_from_digit_overflow():
