@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .indexsets import indices_of, min_index
-from .partitions import bell_count, partition_sort_key
+from .indexsets import min_index
+from .partitions import bell_count, partition_order
 
 Block = int  # non-empty bitmask
 ZetaAtom = tuple[Block, ...]  # ordered, disjoint, non-empty blocks
@@ -128,14 +128,20 @@ class Expression:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[LegalTerm, int]]:
-        return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        key, _ = term_order(self.terms)
+        return [(term, self.terms[term]) for term in sorted(self.terms, key=key)]
 
 
-def _term_sort_key(term: LegalTerm):
-    return (
-        len(term),
-        tuple((len(atom), tuple(indices_of(b) for b in atom)) for atom in term),
-    )
+def term_order(
+    terms: Iterable[LegalTerm],
+) -> tuple[Callable[[LegalTerm], tuple], dict[Block, int]]:
+    """A sort key on legal terms, and the rank of each distinct block.
+
+    Terms compare by atom count, then atom by atom in partition order
+    (`partitions.partition_order`, which gives the ranks).
+    """
+    key, rank = partition_order(atom for term in terms for atom in term)
+    return (lambda term: (len(term), *map(key, term))), rank
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,8 @@ class CanonicalForm:
         return not self.coeffs
 
     def sorted_coeffs(self) -> list[tuple[tuple[Block, ...], int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: partition_sort_key(kv[0]))
+        key, _ = partition_order(self.coeffs)
+        return [(parts, self.coeffs[parts]) for parts in sorted(self.coeffs, key=key)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalForm):
@@ -318,5 +325,6 @@ def is_partition_identity(
     canon = normalize(expr)
     if canon.is_zero():
         return True, None
-    parts, coeff = min(canon.coeffs.items(), key=lambda kv: partition_sort_key(kv[0]))
-    return False, (parts, coeff)
+    key, _ = partition_order(canon.coeffs)
+    parts = min(canon.coeffs, key=key)
+    return False, (parts, canon.coeffs[parts])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
     CanonicalForm,
@@ -29,10 +29,11 @@ from .algebra import (
     LegalityError,
     StuffleResult,
     ZetaAtom,
+    term_order,
 )
 from .identities import METHODS, IdentityReport
 from .indexsets import MAX_INDEX, full_universe, indices_of, mask_of
-from .partitions import partition_sort_key
+from .partitions import partition_order
 
 
 class ParseError(ValueError):
@@ -278,25 +279,27 @@ def _signed_join(pieces: list[tuple[int, str]]) -> str:
     return "".join(out)
 
 
+def _zeta_writer(blocks: Iterable[int]) -> Callable[[ZetaAtom], str]:
+    """`atom_text` for atoms over `blocks`, each block's text built once."""
+    names = {b: block_text(b) for b in blocks}
+    return lambda atom: "zeta(" + ",".join(map(names.__getitem__, atom)) + ")"
+
+
 def expression_text(expr: Expression) -> str:
-    pieces = [
-        (coeff, "*".join(atom_text(a) for a in term))
-        for term, coeff in expr.sorted_terms()
-    ]
-    return _signed_join(pieces)
+    key, rank = term_order(expr.terms)
+    zeta = _zeta_writer(rank)
+    terms = sorted(expr.terms, key=key)
+    return _signed_join([(expr.terms[t], "*".join(map(zeta, t))) for t in terms])
+
+
+def stuffle_text(result: Mapping[tuple[int, ...], int]) -> str:
+    key, rank = partition_order(result)
+    zeta = _zeta_writer(rank)
+    return _signed_join([(result[k], zeta(k)) for k in sorted(result, key=key)])
 
 
 def canonical_text(canon: CanonicalForm) -> str:
-    pieces = [(coeff, atom_text(parts)) for parts, coeff in canon.sorted_coeffs()]
-    return _signed_join(pieces)
-
-
-def stuffle_text(result: StuffleResult) -> str:
-    pieces = [
-        (mult, atom_text(w))
-        for w, mult in sorted(result.items(), key=lambda kv: partition_sort_key(kv[0]))
-    ]
-    return _signed_join(pieces)
+    return stuffle_text(canon.coeffs)  # the same map: ordered partition -> int
 
 
 def report_text(report: IdentityReport) -> str:
@@ -314,111 +317,108 @@ def report_text(report: IdentityReport) -> str:
 
 
 # --- structured (JSON) encoding -------------------------------------------
+# Each kind's fixed layout is written directly, byte for byte as `json.dumps(doc,
+# sort_keys=True, indent=2)` writes the README's document: ints through `str` or
+# `format`, strings and bools through `json.dumps`, so escaping stays the stdlib's.
 
 
-def _blocks_json(atom: ZetaAtom) -> list[tuple[int, ...]]:
-    # The cached index tuples themselves, so `_dumps` sees equal blocks as
-    # equal keys.
-    return [indices_of(b) for b in atom]
+def _list(items: list[str], indent: str) -> str:
+    """A non-empty JSON list at `indent` of items already written one level deeper."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-def expression_json(expr: Expression) -> dict:
-    return {
-        "kind": "expression",
-        "universe": expr.universe.bit_length(),
-        "terms": [
-            {"coeff": coeff, "atoms": [_blocks_json(a) for a in term]}
-            for term, coeff in expr.sorted_terms()
-        ],
-    }
+def _object(fields: dict[str, str], indent: str) -> str:
+    """A JSON object at `indent`, keys sorted, of values written one level deeper."""
+    if not fields:
+        return "{}"
+    inner = "\n" + indent + "  "
+    items = [json.dumps(k) + ": " + fields[k] for k in sorted(fields)]
+    return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
 
 
-def canonical_json(canon: CanonicalForm) -> dict:
-    return {
-        "kind": "canonical",
-        "universe": canon.universe.bit_length(),
-        "coeffs": [
-            {"coeff": coeff, "parts": _blocks_json(parts)}
-            for parts, coeff in canon.sorted_coeffs()
-        ],
-    }
+def _block_lists(blocks: Iterable[int], indent: str) -> dict[int, str]:
+    """Each distinct block's index list at `indent`, written once per call."""
+    return {b: _list(list(map(str, indices_of(b))), indent) for b in blocks}
 
 
-def stuffle_json(result: StuffleResult) -> dict:
-    return {
-        "kind": "stuffle",
-        "tuples": [
-            {"multiplicity": mult, "blocks": _blocks_json(w)}
-            for w, mult in sorted(result.items(), key=lambda kv: partition_sort_key(kv[0]))
-        ],
-    }
+# Records of the top-level lists at depth 2, each after its separator: {0} is
+# the blocks, joined by _SEP, {1} the count, and keys are in sorted order.
+_PARTS, _SEP = "[\n        {0}\n      ]", ",\n        "
+_CANONICAL_RECORD = ',\n    {{\n      "coeff": {1},\n      "parts": ' + _PARTS + "\n    }}"
+_STUFFLE_RECORD = ',\n    {{\n      "blocks": ' + _PARTS + ',\n      "multiplicity": {1}\n    }}'
+_TERM_RECORD = ',\n    {{\n      "atoms": ' + _PARTS + ',\n      "coeff": {1}\n    }}'
 
 
-def report_json(report: IdentityReport) -> dict:
-    out: dict = {
-        "kind": "report",
-        "verdict": report.verdict,
-        "methods": dict(report.per_method),
-        "agreement": report.agreement,
+def _document(head: str, records: list[str], tail: str) -> str:
+    """`head`, a list of `records` and `tail`, joined once: the records are copied once."""
+    if not records:
+        return head + "[]" + tail
+    records[0] = head + "[" + records[0][1:]  # no comma before the first record
+    records.append("\n  ]" + tail)
+    return "".join(records)
+
+
+def _records(coeffs: Mapping[tuple[int, ...], int], form: str) -> list[str]:
+    key, rank = partition_order(coeffs)
+    blocks = _block_lists(rank, " " * 8).__getitem__
+    # () is the one empty partition: the stuffle of two empty atoms.
+    return [(form if k else form.replace(_PARTS, "[]")).format(_SEP.join(map(blocks, k)), coeffs[k])
+            for k in sorted(coeffs, key=key)]
+
+
+def canonical_structured(canon: CanonicalForm) -> str:
+    tail = f',\n  "kind": "canonical",\n  "universe": {canon.universe.bit_length()}\n}}'
+    return _document('{\n  "coeffs": ', _records(canon.coeffs, _CANONICAL_RECORD), tail)
+
+
+def stuffle_structured(result: StuffleResult) -> str:
+    records = _records(result, _STUFFLE_RECORD)
+    return _document('{\n  "kind": "stuffle",\n  "tuples": ', records, "\n}")
+
+
+def expression_structured(expr: Expression) -> str:
+    key, rank = term_order(expr.terms)
+    blocks = _block_lists(rank, " " * 10).__getitem__
+    atoms = {a: _list(list(map(blocks, a)), " " * 8) for t in expr.terms for a in t}.__getitem__
+    terms = [_TERM_RECORD.format(_SEP.join(map(atoms, t)), expr.terms[t])
+             for t in sorted(expr.terms, key=key)]
+    tail = f',\n  "universe": {expr.universe.bit_length()}\n}}'
+    return _document('{\n  "kind": "expression",\n  "terms": ', terms, tail)
+
+
+def report_structured(report: IdentityReport) -> str:
+    fields = {
+        "agreement": json.dumps(report.agreement),
+        "kind": '"report"',
+        "methods": _object({m: json.dumps(v) for m, v in report.per_method.items()}, "  "),
+        "verdict": json.dumps(report.verdict),
     }
     if report.skipped:
-        out["skipped"] = dict(report.skipped)
+        fields["skipped"] = _object({m: json.dumps(r) for m, r in report.skipped.items()}, "  ")
     if report.witness is not None:
         parts, coeff = report.witness
-        out["witness"] = {"coeff": coeff, "parts": _blocks_json(parts)}
-    return out
+        blocks = list(_block_lists(parts, " " * 6).values())  # a partition: distinct blocks
+        fields["witness"] = _object({"coeff": str(coeff), "parts": _list(blocks, " " * 4)}, "  ")
+    return _object(fields, "")
 
 
 # Core type -> (text renderer, structured renderer); anything else is a
 # stuffle result.
 _RENDERERS = {
-    Expression: (expression_text, expression_json),
-    CanonicalForm: (canonical_text, canonical_json),
-    IdentityReport: (report_text, report_json),
+    Expression: (expression_text, expression_structured),
+    CanonicalForm: (canonical_text, canonical_structured),
+    IdentityReport: (report_text, report_structured),
 }
-
-
-def _dumps(doc) -> str:
-    """What `json.dumps(doc, sort_keys=True, indent=2)` writes, for the
-    documents the structured renderers build: dicts with str keys, lists,
-    tuples of ints (one block's indices each), ints and bools.
-
-    Ints are written by `str`, and strings, bools and anything else by
-    `json.dumps`, so escaping and the int digit limit stay the stdlib's.
-    Each distinct tuple or string is rendered once per depth; with `indent`
-    set the stdlib runs its pure-Python encoder on every occurrence.
-    """
-    memo: dict = {}
-
-    def dump(value, indent: str) -> str:
-        kind = type(value)
-        if kind is int:
-            return str(value)
-        if kind is tuple or kind is str:
-            key = (value, indent)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = dump(list(value), indent) if kind is tuple else json.dumps(value)
-            return text
-        if not value or (kind is not list and kind is not dict):
-            return json.dumps(value)
-        inner = indent + "  "
-        if kind is list:
-            items = [dump(v, inner) for v in value]
-            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-        items = [dump(k, inner) + ": " + dump(value[k], inner) for k in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-
-    return dump(doc, "")
 
 
 def serialize(obj, fmt: str = "text") -> str:
     """Render a core object as canonical text or structured JSON."""
-    text, structured = _RENDERERS.get(type(obj), (stuffle_text, stuffle_json))
+    text, structured = _RENDERERS.get(type(obj), (stuffle_text, stuffle_structured))
     if fmt == "text":
         return text(obj)
     if fmt == "structured":
-        return _dumps(structured(obj))
+        return structured(obj)
     raise ValueError(f"unknown format: {fmt}")
 
 

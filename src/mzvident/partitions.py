@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb
+from typing import Callable, Iterable
 
 from .indexsets import indices_of, submasks
 
@@ -28,6 +29,23 @@ def _require_nonempty(ground: int) -> None:
 def partition_sort_key(parts: tuple[int, ...]):
     """The fixed enumeration order: part count, then index tuples."""
     return (len(parts), tuple(indices_of(m) for m in parts))
+
+
+def partition_order(
+    partitions: Iterable[tuple[int, ...]],
+) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], dict[int, int]]:
+    """A sort key that orders `partitions` as `partition_sort_key` does.
+
+    Returns the key and the rank of each distinct block of `partitions`:
+    its position when those blocks are sorted by index tuple.  The rank is
+    strictly monotone in `indices_of`, so a key of part count then ranks
+    compares as part count then index tuples do, but it is one flat tuple of
+    small ints, from one `indices_of` per distinct block, not one per
+    occurrence.  The rank's keys are the distinct blocks.
+    """
+    rank = {b: r for r, b in enumerate(sorted(set().union(*partitions), key=indices_of))}
+    ranked = rank.__getitem__
+    return (lambda parts: (len(parts), *map(ranked, parts))), rank
 
 
 def ordered_set_partitions(ground: int) -> list[OrderedPartition]:
@@ -105,6 +123,7 @@ __all__ = [
     "OrderedPartition",
     "UnorderedPartition",
     "partition_sort_key",
+    "partition_order",
     "ordered_set_partitions",
     "unordered_set_partitions",
     "fubini_count",

@@ -408,6 +408,9 @@ def test_is_partition_identity_missing_term():
     assert not ok
     # The expansion contributes +zeta(s1+s2) and nothing cancels it.
     assert witness == ((blk(1, 2),), 1)
+    # The witness is the first key in partition order: s1 sorts before s1+s2.
+    ok, witness = is_partition_identity(parse("zeta(s1+s2,s3) + 4*zeta(s1,s2+s3)"))
+    assert witness == ((blk(1), blk(2, 3)), 4)
 
 
 def test_zero_expression_is_identity():

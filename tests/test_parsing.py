@@ -3,26 +3,23 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mzvident.parsing
-from mzvident.algebra import CanonicalForm, normalize, stuffle_product
+from mzvident.algebra import CanonicalForm, normalize, stuffle_product, term_order
 from mzvident.identities import hoffman_identity, random_expression, verify
-from mzvident.indexsets import full_universe, mask_of
+from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.parsing import (
     ParseError,
     _Parser,
     _scan,
-    canonical_json,
-    expression_json,
     expression_text,
     parse,
     parse_arglist,
-    report_json,
     serialize,
-    stuffle_json,
 )
+from mzvident.partitions import partition_order, partition_sort_key
 
 
 def blk(*idx):
@@ -321,8 +318,91 @@ def test_roundtrip_property(n, seed):
         assert parse(expression_text(expr)) == expr
 
 
+# --- references for the renderers -----------------------------------------
+# The renderers sort by block ranks and write each kind's layout directly;
+# these build the order from index tuples and the documents as dicts.
+
+
+def _term_sort_key(term):
+    return (
+        len(term),
+        tuple((len(atom), tuple(indices_of(b) for b in atom)) for atom in term),
+    )
+
+
+def _sorted_items(mapping, key):
+    return sorted(mapping.items(), key=lambda kv: key(kv[0]))
+
+
+def _blocks_json(atom):
+    return [list(indices_of(b)) for b in atom]
+
+
+def expression_json(expr):
+    return {
+        "kind": "expression",
+        "universe": expr.universe.bit_length(),
+        "terms": [
+            {"coeff": coeff, "atoms": [_blocks_json(a) for a in term]}
+            for term, coeff in _sorted_items(expr.terms, _term_sort_key)
+        ],
+    }
+
+
+def canonical_json(canon):
+    return {
+        "kind": "canonical",
+        "universe": canon.universe.bit_length(),
+        "coeffs": [
+            {"coeff": coeff, "parts": _blocks_json(parts)}
+            for parts, coeff in _sorted_items(canon.coeffs, partition_sort_key)
+        ],
+    }
+
+
+def stuffle_json(result):
+    return {
+        "kind": "stuffle",
+        "tuples": [
+            {"multiplicity": mult, "blocks": _blocks_json(w)}
+            for w, mult in _sorted_items(result, partition_sort_key)
+        ],
+    }
+
+
+def report_json(report):
+    out = {
+        "kind": "report",
+        "verdict": report.verdict,
+        "methods": dict(report.per_method),
+        "agreement": report.agreement,
+    }
+    if report.skipped:
+        out["skipped"] = dict(report.skipped)
+    if report.witness is not None:
+        parts, coeff = report.witness
+        out["witness"] = {"coeff": coeff, "parts": _blocks_json(parts)}
+    return out
+
+
+def reference_text(pairs):
+    """Signed text of (coeff, atoms) pairs, each block through indices_of."""
+    if not pairs:
+        return "0"
+    out = []
+    for i, (coeff, atoms) in enumerate(pairs):
+        body = "*".join(
+            "zeta(" + ",".join("+".join(f"s{j}" for j in indices_of(b)) for b in a) + ")"
+            for a in atoms
+        )
+        sign = ("-" if coeff < 0 else "") if i == 0 else (" - " if coeff < 0 else " + ")
+        out.append(sign + ("" if abs(coeff) == 1 else f"{abs(coeff)}*") + body)
+    return "".join(out)
+
+
 def assert_structured_matches_stdlib(obj, structured):
-    # The stdlib's indented encoding is the reference for the writer.
+    # The stdlib's indented encoding of the reference document is the
+    # reference for the writer.
     assert serialize(obj, "structured") == json.dumps(structured(obj), sort_keys=True, indent=2)
 
 
@@ -349,12 +429,60 @@ def test_structured_writer_edge_cases():
     skipped = verify(hoffman_identity(6))  # all methods; rational is skipped at n = 6
     assert '"skipped"' in serialize(skipped, "structured")
     big = parse(f"-{10**40 + 7}*zeta(s1,s2) + {3 * 10**45}*zeta(s2)*zeta(s1) - 2*zeta(s2,s1)")
-    for expr in (zero, big):
+    deep = " + ".join(f"s{j}" for j in range(1, 13))  # one block of depth 12
+    deep_expr = parse(f"3*zeta({deep},s13) - zeta({deep})*zeta(s13)")
+    for expr in (zero, big, deep_expr):
         assert_structured_matches_stdlib(expr, expression_json)
         assert_structured_matches_stdlib(normalize(expr), canonical_json)
-    for report in (not_identity, skipped, verify(big)):
+    assert_structured_matches_stdlib(CanonicalForm(0, {}), canonical_json)
+    huge_witness = verify(parse(f"{10**40}*zeta(s1,s2)"))
+    negative_witness = verify(parse("-7*zeta(s1,s2) + zeta(s2,s1)"), methods=["numeric"])
+    assert huge_witness.witness[1] == 10**40 and negative_witness.witness[1] < 0
+    reports = (verify(big), verify(deep_expr), huge_witness, negative_witness)
+    for report in (not_identity, skipped, *reports):
         assert_structured_matches_stdlib(report, report_json)
-    assert_structured_matches_stdlib(stuffle_product((blk(1, 3),), ()), stuffle_json)
-    # The same block and key at two depths are rendered once per depth.
-    doc = {"parts": [(1, 2), ()], "witness": {"parts": [(1, 2)], "x": {"parts": "é\n"}}}
-    assert mzvident.parsing._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    deep_block = mask_of(range(1, 13))
+    operands = [((), ()), ((blk(1, 3),), ()), ((), (blk(2),)), ((deep_block,), (blk(13), blk(14)))]
+    for u, v in operands:
+        assert_structured_matches_stdlib(stuffle_product(u, v), stuffle_json)
+
+
+blocks = st.integers(1, (1 << 5) - 1)
+partitions = st.lists(blocks, max_size=4).map(tuple)
+atoms = st.lists(blocks, min_size=1, max_size=3).map(tuple)
+
+
+@given(st.lists(partitions, unique=True))
+@settings(max_examples=200, deadline=None)
+@example([(blk(1, 2),), (blk(1),), (blk(1), blk(1, 2)), (blk(1, 2), blk(1)), (blk(2),), ()])
+def test_partition_order_is_partition_sort_key(keys):
+    # Index tuples that are prefixes of one another (s1, s1+s2) and keys of
+    # different lengths must order as partition_sort_key orders them.
+    key, rank = partition_order(keys)
+    assert sorted(keys, key=key) == sorted(keys, key=partition_sort_key)
+    assert set(rank) == {b for k in keys for b in k}
+
+
+@given(st.lists(st.lists(atoms, min_size=1, max_size=3).map(tuple), unique=True))
+@settings(max_examples=200, deadline=None)
+@example([((blk(1, 2),),), ((blk(1),), (blk(1, 2),)), ((blk(1), blk(2)),), ((blk(1),),)])
+def test_term_order_is_term_sort_key(terms):
+    key, _ = term_order(terms)
+    assert sorted(terms, key=key) == sorted(terms, key=_term_sort_key)
+
+
+def test_text_renderers_match_reference():
+    seeds = random.Random(5)
+    objs = [hoffman_identity(n).scale(k) for n, k in [(3, 1), (5, -4), (6, 10**30)]]
+    objs += [random_expression(full_universe(seeds.randint(1, 6)), seeds) for _ in range(20)]
+    for expr in objs:
+        terms = _sorted_items(expr.terms, _term_sort_key)
+        assert serialize(expr) == reference_text([(c, t) for t, c in terms])
+        canon = normalize(expr)
+        coeffs = _sorted_items(canon.coeffs, partition_sort_key)
+        assert serialize(canon) == reference_text([(c, (p,)) for p, c in coeffs])
+        for term in expr.terms:
+            if len(term) >= 2:
+                result = stuffle_product(term[0], term[1])
+                words = _sorted_items(result, partition_sort_key)
+                assert serialize(result) == reference_text([(m, (w,)) for w, m in words])
