@@ -154,10 +154,6 @@ class CanonicalForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def sorted_coeffs(self) -> list[tuple[tuple[Block, ...], int]]:
-        key, _ = partition_order(self.coeffs)
-        return [(parts, self.coeffs[parts]) for parts in sorted(self.coeffs, key=key)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalForm):
             return NotImplemented

@@ -22,7 +22,7 @@ from .parsing import (
     parse_arglist,
     serialize,
 )
-from .ratfun import is_zero_combination, rational_term_of
+from .ratfun import kronecker_zero_test, rational_term_of
 
 
 class CliError(Exception):
@@ -123,7 +123,7 @@ def _cmd_rational(args) -> int:
         )
         print(f"{coeff:+d} * {'*'.join(atom_text(a) for a in term)}  ->  1 / [{rendered}]")
     if args.check:
-        ok = is_zero_combination(terms, expr.universe.bit_length())
+        ok = kronecker_zero_test(terms, expr.universe.bit_length())
         print(f"zero combination: {'yes' if ok else 'no'}")
         return 0 if ok else 1
     return 0

@@ -25,7 +25,7 @@ from .algebra import (
 from .indexsets import full_universe
 from .numeric import residual_report
 from .partitions import unordered_set_partitions
-from .ratfun import ZeroTestTooLarge, is_zero_combination, rational_terms_of_expression
+from .ratfun import is_zero_combination, rational_terms_of_expression
 
 HOFFMAN_CAP = 8
 
@@ -38,13 +38,11 @@ class IdentityReport:
 
     The canonical route's `witness` (None when every canonical coefficient
     vanishes) settles the verdict.  `per_method` holds the vote of each
-    method that ran, in METHODS order, and `skipped` the reason of each
-    requested method that did not run.
+    requested method, in METHODS order.
     """
 
     witness: Optional[tuple[tuple[Block, ...], int]]
     per_method: dict[str, bool] = field(default_factory=dict)
-    skipped: dict[str, str] = field(default_factory=dict)  # method -> reason
 
     @property
     def is_identity(self) -> bool:
@@ -56,7 +54,7 @@ class IdentityReport:
 
     @property
     def agreement(self) -> bool:
-        """Every vote that ran matches the verdict."""
+        """Every vote matches the verdict."""
         return all(vote == self.is_identity for vote in self.per_method.values())
 
 
@@ -103,11 +101,11 @@ def verify(
     """Run the requested verification methods and collate a report.
 
     The canonical method is authoritative for the verdict; if it was not
-    requested it is run anyway to decide.  The rational method is skipped,
-    with its reason recorded, when its size estimate exceeds the budget.
-    The numeric method evaluates the expression exactly at integer weights
-    drawn from `seed` and votes identity iff the value is 0; it never
-    overrides the canonical verdict.
+    requested it is run anyway to decide.  The rational and numeric methods
+    are seeded Schwartz-Zippel votes that never override it: the rational
+    method evaluates the rational-function combination mod a prime at a
+    point, the numeric method the expression at integer weights, both drawn
+    from `seed`, and each votes identity iff its value is 0.
     Methods run in METHODS order whatever the order requested.
     """
     methods = tuple(methods)  # validated once, then tested for membership
@@ -124,12 +122,9 @@ def verify(
 
     if "rational" in methods:
         rats = rational_terms_of_expression(expr.terms.items())
-        try:
-            report.per_method["rational"] = is_zero_combination(
-                rats, expr.universe.bit_length()
-            )
-        except ZeroTestTooLarge as e:
-            report.skipped["rational"] = e.reason
+        report.per_method["rational"] = is_zero_combination(
+            rats, expr.universe.bit_length(), seed
+        )
 
     if "numeric" in methods:
         report.per_method["numeric"] = residual_report(expr, seed) == 0

@@ -305,9 +305,7 @@ def canonical_text(canon: CanonicalForm) -> str:
 def report_text(report: IdentityReport) -> str:
     lines = [f"verdict: {report.verdict}"]
     for m in METHODS:
-        if m in report.skipped:
-            lines.append(f"method {m}: skipped ({report.skipped[m]})")
-        elif m in report.per_method:
+        if m in report.per_method:
             lines.append(f"method {m}: {'identity' if report.per_method[m] else 'not-identity'}")
     lines.append(f"agreement: {'yes' if report.agreement else 'no'}")
     if report.witness is not None:
@@ -394,8 +392,6 @@ def report_structured(report: IdentityReport) -> str:
         "methods": _object({m: json.dumps(v) for m, v in report.per_method.items()}, "  "),
         "verdict": json.dumps(report.verdict),
     }
-    if report.skipped:
-        fields["skipped"] = _object({m: json.dumps(r) for m, r in report.skipped.items()}, "  ")
     if report.witness is not None:
         parts, coeff = report.witness
         blocks = list(_block_lists(parts, " " * 6).values())  # a partition: distinct blocks

@@ -1,26 +1,35 @@
-"""Exact rational-function reduction for legal expressions.
+"""Rational-function reduction for legal expressions, and its zero tests.
 
 Each legal term maps to a product of reciprocals of factors of the form
 (prod_{j in S} x_j - 1), one factor per prefix-union of blocks within each
 atom.  A linear combination of such terms vanishes identically iff, after
 clearing the least common denominator, the numerator polynomial is zero.
 
-The exact test packs that numerator into a single integer by Kronecker
-substitution (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 44, 2009): x_j -> 2^(k*stride_j)
-with mixed-radix strides from the LCD degrees, and a digit width k that
-bounds every coefficient, so the integer is 0 iff the polynomial is.
-The numerator is evaluated in factored form, by Horner's rule: terms are
-grouped by the factors they lack, and a group shares each multiply.
+`is_zero_combination`, the vote `verify` takes, evaluates the combination
+modulo a seeded random prime p at a seeded random point: a Schwartz-Zippel
+test (J. T. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979) that costs
+one pass over the terms at every size.
+
+`kronecker_zero_test`, the exact test, packs the numerator into a single
+integer by Kronecker substitution (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009): x_j -> 2^(k*stride_j) with mixed-radix strides from the LCD
+degrees, and a digit width k that bounds every coefficient, so the integer
+is 0 iff the polynomial is.  The numerator is evaluated in factored form,
+by Horner's rule: terms are grouped by the factors they lack, and a group
+shares each multiply.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LegalTerm
-from .indexsets import indices_of
+from .indexsets import MAX_INDEX, indices_of
 
 # A rational term is a product of denominator factors: support mask -> power.
 RationalTermRep = Counter
@@ -102,7 +111,7 @@ def kronecker_layout(
     return factors, k * slots
 
 
-def is_zero_combination(
+def kronecker_zero_test(
     terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int
 ) -> bool:
     """Exact zero test of the cleared numerator, packed into one integer.
@@ -170,6 +179,114 @@ def _packed_numerator(
         prev = vec
     close(0)
     return sums[0]
+
+
+# Miller-Rabin bases: the first twelve primes.  No composite below 3.18e23
+# is a strong pseudoprime to all of them (J. Sorenson and J. Webster, Math.
+# Comp. 86, 2017), so `is_prime` is exact on every 64-bit integer.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The vote's prime lies in [2^(MODULUS_BITS-1), 2^MODULUS_BITS).
+MODULUS_BITS = 61
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin test on PRIME_BASES (G. L. Miller, J. Comput. Syst. Sci.
+    13, 1976; M. O. Rabin, J. Number Theory 12, 1980); exact below 2^64."""
+    if n < 2:
+        return False
+    for q in PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    d = (n - 1) >> r
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class ModularPoints:
+    """The vote's prime p and its evaluation points for one seed.
+
+    Both come from their own stream, random.Random("ratfun:<seed>"), apart
+    from the numeric vote's weights: first p, uniform among the primes of
+    MODULUS_BITS bits, then point 0, 1, ..., each (x_1, ..., x_63) uniform
+    mod p and drawn on first use.  Point i is the same whichever vote draws
+    it first, so one cached object serves every vote of the seed.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(f"ratfun:{seed}")
+        p = 0
+        while not is_prime(p):
+            p = self._rng.randrange(1 << (MODULUS_BITS - 1), 1 << MODULUS_BITS)
+        self.p = p
+        self.points: list[tuple[int, ...]] = []
+
+    def point(self, i: int) -> tuple[int, ...]:
+        while len(self.points) <= i:
+            self.points.append(tuple(self._rng.randrange(self.p) for _ in range(MAX_INDEX)))
+        return self.points[i]
+
+
+@lru_cache(maxsize=8)
+def modular_points(seed: int) -> ModularPoints:
+    """The prime search (under 1 ms) runs once per seed, not once per vote."""
+    return ModularPoints(seed)
+
+
+def _inverses(supports: list[int], x: Sequence[int], p: int) -> dict[int, int] | None:
+    """(prod_{j in S} x_j - 1)^-1 mod p for each support S, with one modular
+    inversion for all of them (batch inversion); None when a factor is 0."""
+    values = [(math.prod(x[j - 1] for j in indices_of(s)) - 1) % p for s in supports]
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
+    if not prefix[-1]:
+        return None
+    acc = pow(prefix[-1], -1, p)  # the inverse of prefix[i + 1] in step i
+    inverse = {}
+    for i in range(len(values) - 1, -1, -1):
+        inverse[supports[i]] = acc * prefix[i] % p
+        acc = acc * values[i] % p
+    return inverse
+
+
+def is_zero_combination(
+    terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int, seed: int = 0
+) -> bool:
+    """Seeded modular vote: sum_T c_T prod_S (x^S - 1)^(-m_T[S]) == 0 mod p,
+    with p and the point x from `modular_points(seed)`.
+
+    `terms` are (integer coefficient, denominator factorization) pairs, as
+    for kronecker_zero_test; the point covers every index 1..63, so `nvars`
+    does not enter.  The value is N(x) / LCD(x) for the cleared numerator N,
+    so a nonzero value refutes exactly.  A zero is wrong only if p divides
+    every coefficient of N, or else with probability at most
+    deg(LCD) / (p - deg(LCD)) (Schwartz-Zippel, given LCD(x) != 0).  When
+    some factor vanishes at the point, the next point of the seed's stream
+    is taken; the vote never refuses.
+    """
+    points = modular_points(seed)
+    p = points.p
+    supports = list({s for _, factors in terms for s in factors})
+    attempt = 0
+    while (inverse := _inverses(supports, points.point(attempt), p)) is None:
+        attempt += 1
+    total = 0
+    for coeff, factors in terms:
+        for support, mult in factors.items():
+            coeff *= inverse[support] ** mult
+        total += coeff
+    return total % p == 0
 
 
 def rational_terms_of_expression(

@@ -83,18 +83,33 @@ def test_verify_text_lists_methods_in_fixed_order(capsys):
         "method canonical: identity",
         "method numeric: identity",
     ]
-    # A skipped method keeps its place in the order.
+    # At n = 6, past the exact rational test's budget, the rational vote
+    # still runs and keeps its place in the order.
     code, out, _ = run(
         capsys, "verify", serialize(hoffman_identity(6)), "--methods", "numeric,rational,canonical"
     )
     assert code == 0
-    lines = [line for line in out.splitlines() if line.startswith("method ")]
-    assert [line.split(":")[0] for line in lines] == [
-        "method canonical",
-        "method rational",
-        "method numeric",
+    assert [line for line in out.splitlines() if line.startswith("method ")] == [
+        "method canonical: identity",
+        "method rational: identity",
+        "method numeric: identity",
     ]
-    assert lines[1].startswith("method rational: skipped (estimate ")
+
+
+def test_verify_rational_alone_at_hoffman_six(capsys):
+    # The rational vote runs at every size, so agreement is never claimed
+    # among zero votes.
+    h6 = serialize(hoffman_identity(6))
+    code, out, _ = run(capsys, "verify", h6, "--methods", "rational")
+    assert code == 0
+    assert out.splitlines() == ["verdict: identity", "method rational: identity", "agreement: yes"]
+    code, out, _ = run(capsys, "verify", h6 + " + 3*zeta(s1+s2,s3,s4+s5,s6)", "--methods", "rational")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "verdict: not-identity",
+        "method rational: not-identity",
+        "agreement: yes",
+    ]
 
 
 def test_canonical_expansion_over_budget(capsys):

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import mzvident.identities
 from mzvident.algebra import (
     Expression,
     LegalityError,
@@ -142,17 +143,31 @@ def test_verify_hoffman4_canonical_rational():
     assert list(report.per_method) == ["canonical", "rational"]
 
 
-def test_verify_hoffman6_skips_rational():
+def test_verify_hoffman6_runs_every_vote():
+    # Past the exact rational test's budget the modular vote still runs.
     report = verify(hoffman_identity(6))
     assert report.verdict == "identity"
-    assert list(report.per_method) == ["canonical", "numeric"]
-    assert report.skipped["rational"].startswith("estimate ")
+    assert report.per_method == {"canonical": True, "rational": True, "numeric": True}
     assert report.agreement
-    text = serialize(report)
-    assert f"method rational: skipped ({report.skipped['rational']})" in text
+    assert "method rational: identity" in serialize(report).splitlines()
     doc = json.loads(serialize(report, "structured"))
-    assert doc["skipped"] == report.skipped
-    assert "rational" not in doc["methods"]
+    assert doc["methods"] == report.per_method
+    assert "skipped" not in doc
+
+
+def test_verify_passes_its_seed_to_the_rational_vote(monkeypatch):
+    # The benchmark's tracer wraps this name and reads the terms from the
+    # first argument.
+    calls = []
+
+    def vote(terms, nvars, seed):
+        calls.append((terms, nvars, seed))
+        return True
+
+    monkeypatch.setattr(mzvident.identities, "is_zero_combination", vote)
+    expr = parse(EXAMPLE_TEXT)
+    verify(expr, methods=["rational"], seed=12345)
+    assert calls == [(rational_terms_of_expression(expr.terms.items()), 3, 12345)]
 
 
 def test_verify_perturbed_stuffle_identity():
@@ -185,7 +200,7 @@ def test_verify_accepts_a_one_pass_iterable():
 
 def test_report_stores_only_observations():
     fields = [f.name for f in dataclasses.fields(IdentityReport)]
-    assert fields == ["witness", "per_method", "skipped"]
+    assert fields == ["witness", "per_method"]
 
 
 def test_report_derives_verdict_and_agreement():

@@ -377,8 +377,6 @@ def report_json(report):
         "methods": dict(report.per_method),
         "agreement": report.agreement,
     }
-    if report.skipped:
-        out["skipped"] = dict(report.skipped)
     if report.witness is not None:
         parts, coeff = report.witness
         out["witness"] = {"coeff": coeff, "parts": _blocks_json(parts)}
@@ -426,8 +424,6 @@ def test_structured_writer_edge_cases():
     assert '"coeffs": []' in serialize(normalize(parse(EXAMPLE_TEXT)), "structured")
     not_identity = verify(parse("zeta(s1)*zeta(s2) - zeta(s1,s2)"))
     assert '"witness"' in serialize(not_identity, "structured")
-    skipped = verify(hoffman_identity(6))  # all methods; rational is skipped at n = 6
-    assert '"skipped"' in serialize(skipped, "structured")
     big = parse(f"-{10**40 + 7}*zeta(s1,s2) + {3 * 10**45}*zeta(s2)*zeta(s1) - 2*zeta(s2,s1)")
     deep = " + ".join(f"s{j}" for j in range(1, 13))  # one block of depth 12
     deep_expr = parse(f"3*zeta({deep},s13) - zeta({deep})*zeta(s13)")
@@ -439,7 +435,7 @@ def test_structured_writer_edge_cases():
     negative_witness = verify(parse("-7*zeta(s1,s2) + zeta(s2,s1)"), methods=["numeric"])
     assert huge_witness.witness[1] == 10**40 and negative_witness.witness[1] < 0
     reports = (verify(big), verify(deep_expr), huge_witness, negative_witness)
-    for report in (not_identity, skipped, *reports):
+    for report in (not_identity, *reports):
         assert_structured_matches_stdlib(report, report_json)
     deep_block = mask_of(range(1, 13))
     operands = [((), ()), ((blk(1, 3),), ()), ((), (blk(2),)), ((deep_block,), (blk(13), blk(14)))]

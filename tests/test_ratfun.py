@@ -11,12 +11,19 @@ from mzvident.identities import hoffman_identity, random_expression, stuffle_ide
 from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.parsing import parse
 from mzvident.partitions import ordered_set_partitions
+import mzvident.ratfun
 from mzvident.ratfun import (
     KRONECKER_BUDGET_BITS,
+    MODULUS_BITS,
+    ModularPoints,
     ZeroTestTooLarge,
+    _inverses,
     _packed_numerator,
+    is_prime,
     is_zero_combination,
     kronecker_layout,
+    kronecker_zero_test,
+    modular_points,
     rational_term_of,
     rational_terms_of_expression,
 )
@@ -54,7 +61,11 @@ def test_factor_count_is_total_atom_length():
         assert sum(rational_term_of(term).values()) == total
 
 
-# --- zero test -------------------------------------------------------------
+# --- zero tests ------------------------------------------------------------
+
+# The exact test and the seeded modular vote must agree wherever the exact
+# test runs.
+ZERO_TESTS = (kronecker_zero_test, is_zero_combination)
 
 SEVEN_TERM = [
     (2, Counter({blk(1, 2, 3): 1})),
@@ -68,24 +79,28 @@ SEVEN_TERM = [
 
 
 def test_seven_term_rational_combination_is_zero():
-    assert is_zero_combination(SEVEN_TERM, 3)
+    for zero_test in ZERO_TESTS:
+        assert zero_test(SEVEN_TERM, 3)
 
 
 def test_single_term_not_zero():
-    assert not is_zero_combination([(1, Counter({blk(1): 1}))], 1)
+    for zero_test in ZERO_TESTS:
+        assert not zero_test([(1, Counter({blk(1): 1}))], 1)
 
 
 def test_cancelling_pair_is_zero():
     t = Counter({blk(1): 2, blk(1, 2): 1})
-    assert is_zero_combination([(1, t), (-1, t)], 2)
+    for zero_test in ZERO_TESTS:
+        assert zero_test([(1, t), (-1, t)], 2)
 
 
 def test_repeated_factor_multiplicity():
     # 1/(x1-1)^2 - 1/(x1-1)^2 is zero; 1/(x1-1)^2 - 1/(x1-1) is not.
     sq = Counter({blk(1): 2})
     lin = Counter({blk(1): 1})
-    assert is_zero_combination([(1, sq), (-1, sq)], 1)
-    assert not is_zero_combination([(1, sq), (-1, lin)], 1)
+    for zero_test in ZERO_TESTS:
+        assert zero_test([(1, sq), (-1, sq)], 1)
+        assert not zero_test([(1, sq), (-1, lin)], 1)
 
 
 def test_theorem_agreement_random():
@@ -94,7 +109,8 @@ def test_theorem_agreement_random():
         n = rng.randint(1, 4)
         expr = random_expression(full_universe(n), rng)
         terms = rational_terms_of_expression(expr.terms.items())
-        assert is_zero_combination(terms, n) == is_partition_identity(expr)[0]
+        for zero_test in ZERO_TESTS:
+            assert zero_test(terms, n) == is_partition_identity(expr)[0]
 
 
 # --- Kronecker packing -----------------------------------------------------
@@ -136,7 +152,7 @@ def test_agrees_with_sympy_oracle():
                 rng.randint(0, 1)
             )
         terms = rats_of(expr)
-        assert is_zero_combination(terms, n) == sympy_is_zero(terms, n)
+        assert kronecker_zero_test(terms, n) == sympy_is_zero(terms, n)
 
 
 def test_budget_separates_hoffman_five_and_six():
@@ -149,7 +165,7 @@ def test_over_budget_refused_before_packing():
     tracemalloc.start()
     try:
         with pytest.raises(ZeroTestTooLarge) as info:
-            is_zero_combination(terms, 6)
+            kronecker_zero_test(terms, 6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -205,7 +221,8 @@ def test_factored_packing_matches_flat_edge_cases():
     ]
     for terms in cases:
         assert_same_packing(terms, 2)
-    assert is_zero_combination([], 2)
+    for zero_test in ZERO_TESTS:
+        assert zero_test([], 2)
 
 
 def test_factored_pass_memory_on_hoffman_five():
@@ -216,7 +233,7 @@ def test_factored_pass_memory_on_hoffman_five():
     _, estimate = kronecker_layout(terms, 5)
     tracemalloc.start()
     try:
-        assert is_zero_combination(terms, 5)
+        assert kronecker_zero_test(terms, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -229,7 +246,8 @@ def test_no_false_zero_from_digit_overflow():
     for j in range(200):
         for a in (1, -3):
             terms = [(a, Counter({blk(1): 1})), (a * (1 - 2**j), Counter({blk(1): 2}))]
-            assert not is_zero_combination(terms, 1)
+            for zero_test in ZERO_TESTS:
+                assert not zero_test(terms, 1)
 
 
 EXTREME = st.one_of(
@@ -253,12 +271,14 @@ def test_extreme_coefficients_match_canonical(n, seed, coeffs, bump):
         expr = expr + random_identity(n, rng).scale(c)
     term = next(iter(random_expression(full_universe(n), rng, max_terms=1, coeff_range=(1, 1)).terms))
     expr = expr + Expression(expr.universe, {term: bump})
-    assert is_zero_combination(rats_of(expr), n) == is_partition_identity(expr)[0]
+    for zero_test in ZERO_TESTS:
+        assert zero_test(rats_of(expr), n) == is_partition_identity(expr)[0]
     # c*T - c*T + T, kept as separate rational terms, is T.
     t = rational_term_of(term)
     for c in coeffs:
-        assert is_zero_combination([(c, t), (-c, t)], n)
-        assert not is_zero_combination([(c, t), (-c, t), (1, t)], n)
+        for zero_test in ZERO_TESTS:
+            assert zero_test([(c, t), (-c, t)], n)
+            assert not zero_test([(c, t), (-c, t), (1, t)], n)
 
 
 @given(st.integers(1, 4), st.integers(0, 2**32), EXTREME)
@@ -267,4 +287,65 @@ def test_vote_unchanged_by_adding_identity(n, seed, k):
     rng = random.Random(seed)
     expr = random_expression(full_universe(n), rng)
     shifted = expr + random_identity(n, rng).scale(k)
-    assert is_zero_combination(rats_of(shifted), n) == is_zero_combination(rats_of(expr), n)
+    for zero_test in ZERO_TESTS:
+        assert zero_test(rats_of(shifted), n) == zero_test(rats_of(expr), n)
+
+
+# --- modular vote ------------------------------------------------------------
+
+
+def test_vote_primes_in_range():
+    sympy = pytest.importorskip("sympy")
+    for seed in range(200):
+        p = modular_points(seed).p
+        assert 1 << (MODULUS_BITS - 1) <= p < 1 << MODULUS_BITS
+        assert sympy.isprime(p)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+    # A strong pseudoprime to every base 2..31: only base 37 rejects it.
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for n in [*range(-2, 5000), *(rng.randrange(2**64) | 1 for _ in range(2000))]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_vote_matches_exact_test_and_canonical():
+    rng = random.Random(43)
+    for i in range(320):
+        n = rng.randint(1, 5)
+        expr = random_expression(full_universe(n), rng)
+        terms = rats_of(expr)
+        vote = is_zero_combination(terms, n, i)
+        assert vote == kronecker_zero_test(terms, n) == is_partition_identity(expr)[0]
+        shifted = expr + hoffman_identity(n).scale(rng.choice([-5, -1, 2, 10**30]))
+        assert is_zero_combination(rats_of(shifted), n, i) == vote
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_vote_past_the_exact_budget(n):
+    expr = hoffman_identity(n)
+    assert is_zero_combination(rats_of(expr), n)
+    rng = random.Random(n)
+    term = next(iter(random_expression(full_universe(n), rng, max_terms=1, coeff_range=(1, 1)).terms))
+    assert not is_zero_combination(rats_of(expr + Expression(expr.universe, {term: 1})), n)
+
+
+def test_vote_redraws_when_a_factor_vanishes(monkeypatch):
+    points = ModularPoints(47)
+    x = points.point(0)
+    points.points[0] = (x[0], 1, *x[2:])  # x_2 = 1, so the factor x_2 - 1 is 0
+    assert _inverses([blk(2)], points.points[0], points.p) is None
+    monkeypatch.setattr(mzvident.ratfun, "modular_points", lambda seed: points)
+    assert is_zero_combination(SEVEN_TERM, 3)
+    assert len(points.points) == 2  # one redraw
+    assert points.points[1] == ModularPoints(47).point(1)  # the stream's next point
+    assert not is_zero_combination(SEVEN_TERM + [(1, Counter({blk(2): 1}))], 3)
+    assert len(points.points) == 2
