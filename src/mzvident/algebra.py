@@ -17,8 +17,6 @@ zero.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
@@ -73,12 +71,39 @@ def validate_legal_term(atoms: Iterable[ZetaAtom], universe: int) -> LegalTerm:
     return canonical_atoms(atoms)
 
 
-@dataclass(frozen=True)
-class Expression:
+class _Frozen:
+    """An immutable value whose fields are its `__slots__`, in constructor order.
+
+    Assignment and deletion raise AttributeError, so copy and pickle rebuild
+    a value through its constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Expression(_Frozen):
     """Integer-linear combination of legal terms over a fixed universe."""
 
+    __slots__ = ("universe", "terms")
     universe: int
-    terms: Mapping[LegalTerm, int] = field(default_factory=dict)
+    terms: Mapping[LegalTerm, int]
+
+    def __init__(self, universe: int, terms: Optional[Mapping[LegalTerm, int]] = None) -> None:
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "terms", {} if terms is None else terms)
 
     @staticmethod
     def build(universe: int, entries: Iterable[tuple[int, Iterable[ZetaAtom]]]) -> "Expression":
@@ -144,12 +169,18 @@ def term_order(
     return (lambda term: (len(term), *map(key, term))), rank
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(_Frozen):
     """Linear combination of single zeta factors indexed by ordered partitions."""
 
+    __slots__ = ("universe", "coeffs")
     universe: int
-    coeffs: Mapping[tuple[Block, ...], int] = field(default_factory=dict)
+    coeffs: Mapping[tuple[Block, ...], int]
+
+    def __init__(
+        self, universe: int, coeffs: Optional[Mapping[tuple[Block, ...], int]] = None
+    ) -> None:
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "coeffs", {} if coeffs is None else coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -162,8 +193,6 @@ class CanonicalForm:
     def __hash__(self) -> int:
         return hash((self.universe, frozenset(self.coeffs.items())))
 
-
-StuffleResult = Counter  # tuple of blocks -> multiplicity
 
 # Most word slots (words times their length bound) one call may build: a
 # single stuffle_product, or normalize's running total of term bounds.
@@ -179,8 +208,9 @@ def _check_slots(estimate: int) -> None:
         )
 
 
-def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
-    """Multiset of interleavings-with-merges of two disjoint block tuples.
+def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> dict[ZetaAtom, int]:
+    """Interleavings-with-merges of two disjoint block tuples, each mapped
+    to its multiplicity.
 
     Implements the three-branch recursion: take the head of u, take the
     head of v, or merge both heads (block union standing in for the sum
@@ -195,7 +225,7 @@ def stuffle_product(u: ZetaAtom, v: ZetaAtom) -> StuffleResult:
     for atom in filter(None, (u, v)):
         validate_legal_term((atom,), atom_support(atom))
     _check_slots(stuffle_size(len(u), len(v)) * (len(u) + len(v)))
-    return Counter(_stuffle_words(u, v))
+    return dict.fromkeys(_stuffle_words(u, v), 1)
 
 
 def _stuffle_words(u: ZetaAtom, v: ZetaAtom) -> list[ZetaAtom]:

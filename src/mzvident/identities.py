@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterable, Optional
 
@@ -32,17 +31,33 @@ HOFFMAN_CAP = 8
 METHODS = ("canonical", "rational", "numeric")
 
 
-@dataclass
 class IdentityReport:
     """What `verify` observed; the verdict and agreement derive from it.
 
     The canonical route's `witness` (None when every canonical coefficient
     vanishes) settles the verdict.  `per_method` holds the vote of each
-    requested method, in METHODS order.
+    requested method, in METHODS order; `verify` fills it after
+    construction, so a report is mutable, compares by its two fields and
+    is unhashable.
     """
 
-    witness: Optional[tuple[tuple[Block, ...], int]]
-    per_method: dict[str, bool] = field(default_factory=dict)
+    __slots__ = ("witness", "per_method")
+
+    def __init__(
+        self,
+        witness: Optional[tuple[tuple[Block, ...], int]],
+        per_method: Optional[dict[str, bool]] = None,
+    ) -> None:
+        self.witness = witness
+        self.per_method = {} if per_method is None else per_method
+
+    def __repr__(self) -> str:
+        return f"IdentityReport(witness={self.witness!r}, per_method={self.per_method!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.witness, self.per_method) == (other.witness, other.per_method)
 
     @property
     def is_identity(self) -> bool:

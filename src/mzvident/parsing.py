@@ -19,7 +19,6 @@ see README for the schema.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -27,7 +26,6 @@ from .algebra import (
     CanonicalForm,
     Expression,
     LegalityError,
-    StuffleResult,
     ZetaAtom,
     term_order,
 )
@@ -317,7 +315,9 @@ def report_text(report: IdentityReport) -> str:
 # --- structured (JSON) encoding -------------------------------------------
 # Each kind's fixed layout is written directly, byte for byte as `json.dumps(doc,
 # sort_keys=True, indent=2)` writes the README's document: ints through `str` or
-# `format`, strings and bools through `json.dumps`, so escaping stays the stdlib's.
+# `format`, and every string and bool as a literal.  The only strings are field
+# names, METHODS names and the two verdicts, none of which needs escaping, so the
+# report writer refuses a `per_method` key outside METHODS.
 
 
 def _list(items: list[str], indent: str) -> str:
@@ -331,7 +331,7 @@ def _object(fields: dict[str, str], indent: str) -> str:
     if not fields:
         return "{}"
     inner = "\n" + indent + "  "
-    items = [json.dumps(k) + ": " + fields[k] for k in sorted(fields)]
+    items = ['"' + k + '": ' + fields[k] for k in sorted(fields)]
     return "{" + inner + ("," + inner).join(items) + "\n" + indent + "}"
 
 
@@ -370,7 +370,7 @@ def canonical_structured(canon: CanonicalForm) -> str:
     return _document('{\n  "coeffs": ', _records(canon.coeffs, _CANONICAL_RECORD), tail)
 
 
-def stuffle_structured(result: StuffleResult) -> str:
+def stuffle_structured(result: Mapping[tuple[int, ...], int]) -> str:
     records = _records(result, _STUFFLE_RECORD)
     return _document('{\n  "kind": "stuffle",\n  "tuples": ', records, "\n}")
 
@@ -385,12 +385,19 @@ def expression_structured(expr: Expression) -> str:
     return _document('{\n  "kind": "expression",\n  "terms": ', terms, tail)
 
 
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def report_structured(report: IdentityReport) -> str:
+    for m in report.per_method:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r} in report; choose from {', '.join(METHODS)}")
     fields = {
-        "agreement": json.dumps(report.agreement),
+        "agreement": _bool(report.agreement),
         "kind": '"report"',
-        "methods": _object({m: json.dumps(v) for m, v in report.per_method.items()}, "  "),
-        "verdict": json.dumps(report.verdict),
+        "methods": _object({m: _bool(v) for m, v in report.per_method.items()}, "  "),
+        "verdict": '"identity"' if report.is_identity else '"not-identity"',
     }
     if report.witness is not None:
         parts, coeff = report.witness

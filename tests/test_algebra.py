@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import mzvident.algebra
 from mzvident.algebra import (
     CANONICAL_BUDGET_WORDS,
+    CanonicalForm,
     Expression,
     LegalityError,
     _stuffle_words,
@@ -70,6 +73,43 @@ def test_validate_empty_block():
         validate_legal_term([(0,)], full_universe(1))
     with pytest.raises(LegalityError, match="empty"):
         validate_legal_term([()], full_universe(1))
+
+
+# --- value types -----------------------------------------------------------
+
+
+def test_values_survive_copy_and_pickle():
+    expr = parse("3*zeta(s1,s2) - zeta(s1)*zeta(s2)")
+    for value in (expr, normalize(expr), Expression(0), CanonicalForm(0)):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value) and clone == value
+            assert hash(clone) == hash(value)
+    assert pickle.loads(pickle.dumps(expr, protocol=0)) == expr
+
+
+def test_values_are_immutable():
+    expr = parse("zeta(s1,s2)")
+    canon = normalize(expr)
+    for value, name in ((expr, "universe"), (expr, "terms"), (canon, "universe"), (canon, "coeffs")):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, {})
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        expr.extra = 1  # no __dict__ either
+
+
+def test_value_constructors_and_repr():
+    for cls, name in ((Expression, "terms"), (CanonicalForm, "coeffs")):
+        a, b = cls(3), cls(3)
+        assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
+        assert cls(universe=3, **{name: {(1,): 2}}) == cls(3, {(1,): 2})
+    expr = Expression(3, {((1,), (2,)): 2})
+    assert repr(expr) == "Expression(universe=3, terms={((1,), (2,)): 2})"
+    assert repr(CanonicalForm(1, {(1,): -1})) == "CanonicalForm(universe=1, coeffs={(1,): -1})"
+    assert Expression(1, {}) != CanonicalForm(1, {})
 
 
 # --- stuffle product -------------------------------------------------------

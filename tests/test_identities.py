@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import json
+import pickle
 import random
 from math import factorial
 
@@ -199,8 +200,22 @@ def test_verify_accepts_a_one_pass_iterable():
 
 
 def test_report_stores_only_observations():
-    fields = [f.name for f in dataclasses.fields(IdentityReport)]
-    assert fields == ["witness", "per_method"]
+    assert IdentityReport.__slots__ == ("witness", "per_method")
+
+
+def test_report_compares_by_fields_and_is_unhashable():
+    report = verify(parse("zeta(s1)*zeta(s2) - zeta(s1,s2)"))
+    same = IdentityReport(report.witness, dict(report.per_method))
+    assert report == same and report != IdentityReport(report.witness)
+    assert IdentityReport(None) == IdentityReport(witness=None, per_method={})
+    with pytest.raises(TypeError):
+        hash(report)
+    a, b = IdentityReport(None), IdentityReport(None)
+    a.per_method["numeric"] = True  # mutable, and each default dict is its own
+    assert b.per_method == {}
+    assert repr(b) == "IdentityReport(witness=None, per_method={})"
+    for clone in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert type(clone) is IdentityReport and clone == report
 
 
 def test_report_derives_verdict_and_agreement():

@@ -34,16 +34,29 @@ def test_removed_names_are_gone():
     assert not hasattr(mzvident.numeric, "ROUNDING_TOL")
 
 
-def test_import_loads_no_exact_arithmetic_modules():
-    code = (
-        "import sys, mzvident, mzvident.cli;"
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    )
+def loaded_after(code: str, names: set[str]) -> str:
+    """Which of `names` a fresh interpreter has loaded after running `code`."""
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(SRC)},
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(sorted({names!r} & set(sys.modules)))"],
+        # Without bytecode, so the check leaves no src/mzvident/__pycache__
+        # behind to speed up later fresh interpreters.
+        env={"PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_exact_arithmetic_modules():
+    assert loaded_after("import mzvident, mzvident.cli", {"fractions", "decimal"}) == "[]"
+
+
+def test_cli_run_loads_no_dataclasses_or_json():
+    code = (
+        "import mzvident, mzvident.cli\n"
+        "from mzvident import parse, serialize, verify\n"
+        "report = verify(parse('zeta(s1)*zeta(s2) - zeta(s1,s2)'))\n"
+        "serialize(report, 'text'), serialize(report, 'structured')"
+    )
+    assert loaded_after(code, {"dataclasses", "inspect", "json"}) == "[]"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mzvident.parsing
 from mzvident.algebra import CanonicalForm, normalize, stuffle_product, term_order
-from mzvident.identities import hoffman_identity, random_expression, verify
+from mzvident.identities import IdentityReport, hoffman_identity, random_expression, verify
 from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.parsing import (
     ParseError,
@@ -309,6 +309,13 @@ def test_serialize_unknown_format():
         serialize(parse("zeta(s1)"), "yaml")
 
 
+def test_structured_report_refuses_unknown_method():
+    report = IdentityReport(None, {"canonical": True, 'num"eric': True})
+    with pytest.raises(ValueError, match="unknown method"):
+        serialize(report, "structured")
+    assert "method canonical: identity" in serialize(report, "text")
+
+
 @given(st.integers(1, 4), st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_roundtrip_property(n, seed):
@@ -434,7 +441,10 @@ def test_structured_writer_edge_cases():
     huge_witness = verify(parse(f"{10**40}*zeta(s1,s2)"))
     negative_witness = verify(parse("-7*zeta(s1,s2) + zeta(s2,s1)"), methods=["numeric"])
     assert huge_witness.witness[1] == 10**40 and negative_witness.witness[1] < 0
-    reports = (verify(big), verify(deep_expr), huge_witness, negative_witness)
+    identity = verify(parse(EXAMPLE_TEXT))
+    disagreeing = IdentityReport(None, {"canonical": True, "numeric": False})
+    assert identity.is_identity and identity.agreement and not disagreeing.agreement
+    reports = (verify(big), verify(deep_expr), huge_witness, negative_witness, identity, disagreeing)
     for report in (not_identity, *reports):
         assert_structured_matches_stdlib(report, report_json)
     deep_block = mask_of(range(1, 13))
