@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Mapping, Optional
 
 from .indexsets import min_index
-from .partitions import bell_count, partition_order
+from .partitions import bell_count, coarsenings, partition_order
 
 Block = int  # non-empty bitmask
 ZetaAtom = tuple[Block, ...]  # ordered, disjoint, non-empty blocks
@@ -94,6 +94,17 @@ class _Frozen:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def _add_pairs(acc: dict, pairs: Iterable[tuple[object, int]]) -> dict:
+    """Add each (key, coeff) pair into `acc`, dropping keys that reach 0."""
+    for key, coeff in pairs:
+        c = acc.get(key, 0) + coeff
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class Expression(_Frozen):
     """Integer-linear combination of legal terms over a fixed universe."""
 
@@ -107,28 +118,14 @@ class Expression(_Frozen):
 
     @staticmethod
     def build(universe: int, entries: Iterable[tuple[int, Iterable[ZetaAtom]]]) -> "Expression":
-        """Sum coeff * term pairs, validating each term."""
-        acc: dict[LegalTerm, int] = {}
-        for coeff, atoms in entries:
-            term = validate_legal_term(atoms, universe)
-            c = acc.get(term, 0) + coeff
-            if c:
-                acc[term] = c
-            else:
-                acc.pop(term, None)
-        return Expression(universe, acc)
+        """Sum coeff * term pairs, validating each term as it is drawn."""
+        pairs = ((validate_legal_term(atoms, universe), coeff) for coeff, atoms in entries)
+        return Expression(universe, _add_pairs({}, pairs))
 
     def __add__(self, other: "Expression") -> "Expression":
         if self.universe != other.universe:
             raise LegalityError("universe mismatch")
-        acc = dict(self.terms)
-        for term, coeff in other.terms.items():
-            c = acc.get(term, 0) + coeff
-            if c:
-                acc[term] = c
-            else:
-                acc.pop(term, None)
-        return Expression(self.universe, acc)
+        return Expression(self.universe, _add_pairs(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Expression":
         return Expression(self.universe, {t: -c for t, c in self.terms.items()})
@@ -262,21 +259,6 @@ def stuffle_size(m: int, n: int) -> int:
     return sum(comb(m, k) * comb(n, k) * 2**k for k in range(min(m, n) + 1))
 
 
-def _coarsenings(blocks: Iterable[Block]) -> list[tuple[Block, ...]]:
-    """Every unordered partition whose blocks are unions of `blocks`.
-
-    Each block in turn joins one block of every partition built so far
-    or starts a new one.  Given `blocks` sorted by smallest index, every
-    partition lists its blocks sorted by smallest index too.
-    """
-    sigmas: list[tuple[Block, ...]] = [()]
-    for b in blocks:
-        sigmas = [s + (b,) for s in sigmas] + [
-            s[:j] + (s[j] | b,) + s[j + 1 :] for s in sigmas for j in range(len(s))
-        ]
-    return sigmas
-
-
 def normalize(expr: Expression) -> CanonicalForm:
     """Expand every term into single zeta factors, by one of two paths.
 
@@ -316,7 +298,7 @@ def normalize(expr: Expression) -> CanonicalForm:
         if all(len(atom) == 1 for atom in term):
             estimate += bell_count(len(term)) * len(term)
             _check_slots(estimate)
-            for sigma in _coarsenings(block for (block,) in term):
+            for sigma in coarsenings(block for (block,) in term):
                 lattice[sigma] = lattice.get(sigma, 0) + coeff
             continue
         first, *rest = term

@@ -69,10 +69,17 @@ def _parse_assignment(text: str) -> dict[int, float]:
             raise CliError(f"bad assignment {piece!r}, expected sK=value")
         name, _, val = piece.partition("=")
         name = name.strip()
-        if not name.startswith("s") or not name[1:].isdigit():
+        digits = name[1:]
+        if name[:1] != "s" or not (digits.isascii() and digits.isdigit()):
             raise CliError(f"bad variable name {name!r}")
         try:
-            assign[int(name[1:])] = float(val)
+            index = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise CliError(f"bad variable name {name!r}") from None
+        if index in assign:
+            raise CliError(f"variable s{index} assigned twice")
+        try:
+            assign[index] = float(val)
         except ValueError:
             raise CliError(f"bad value {val!r} for {name}")
     return assign

@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .indexsets import full_universe
 from .numeric import residual_report
-from .partitions import unordered_set_partitions
+from .partitions import ordered_set_partitions, unordered_set_partitions
 from .ratfun import is_zero_combination, rational_terms_of_expression
 
 HOFFMAN_CAP = 8
@@ -149,8 +149,6 @@ def verify(
 def random_legal_term(universe: int, rng: random.Random) -> tuple[ZetaAtom, ...]:
     """Seeded uniform-ish legal term: pick an unordered partition, then an
     ordered subpartition of each part."""
-    from .partitions import ordered_set_partitions
-
     parts = rng.choice(unordered_set_partitions(universe))
     atoms = tuple(rng.choice(ordered_set_partitions(p)) for p in parts)
     return atoms

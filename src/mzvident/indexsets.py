@@ -57,12 +57,3 @@ def full_universe(n: int) -> int:
         raise ValueError(f"universe size {n} out of range 1..{MAX_INDEX}")
     return (1 << n) - 1
 
-
-def submasks(mask: int) -> list[int]:
-    """All non-empty submasks of `mask`."""
-    out = []
-    sub = mask
-    while sub:
-        out.append(sub)
-        sub = (sub - 1) & mask
-    return out

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterable
 
-from .indexsets import indices_of, submasks
+from .indexsets import indices_of
 
 OrderedPartition = tuple[int, ...]
 UnorderedPartition = tuple[int, ...]  # parts sorted by smallest element
@@ -63,23 +63,23 @@ def ordered_set_partitions(ground: int) -> list[OrderedPartition]:
 def unordered_set_partitions(ground: int) -> list[UnorderedPartition]:
     """All unordered set partitions of `ground`, parts sorted by min element."""
     _require_nonempty(ground)
-    out: list[UnorderedPartition] = []
+    singles = [1 << (i - 1) for i in indices_of(ground)]
+    return sorted(coarsenings(singles), key=partition_sort_key)
 
-    def rec(remaining: int, prefix: tuple[int, ...]) -> None:
-        if not remaining:
-            out.append(prefix)
-            return
-        # The part containing the smallest remaining element is canonical,
-        # which kills duplicate orderings at the source.
-        low = remaining & -remaining
-        rest = remaining & ~low
-        for extra in [0] + submasks(rest):
-            part = low | extra
-            rec(remaining & ~part, prefix + (part,))
 
-    rec(ground, ())
-    out.sort(key=partition_sort_key)
-    return out
+def coarsenings(blocks: Iterable[int]) -> list[UnorderedPartition]:
+    """Every unordered partition whose blocks are unions of `blocks`.
+
+    Each block in turn joins one block of every partition built so far
+    or starts a new one.  Given `blocks` sorted by smallest index, every
+    partition lists its blocks sorted by smallest index too.
+    """
+    sigmas: list[tuple[int, ...]] = [()]
+    for b in blocks:
+        sigmas = [s + (b,) for s in sigmas] + [
+            s[:j] + (s[j] | b,) + s[j + 1 :] for s in sigmas for j in range(len(s))
+        ]
+    return sigmas
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +126,7 @@ __all__ = [
     "partition_order",
     "ordered_set_partitions",
     "unordered_set_partitions",
+    "coarsenings",
     "fubini_count",
     "bell_count",
     "check_partition",

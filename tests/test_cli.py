@@ -274,6 +274,29 @@ def test_eval_bad_assignment(capsys):
     assert code == 2
 
 
+def test_eval_assignment_name_non_ascii_digit(capsys):
+    # U+0661 is the Arabic-Indic digit one: not the name s1.
+    code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", "s\u0661=2")
+    assert code == 2 and out == ""
+    assert "bad variable name" in err
+
+
+def test_eval_assignment_name_blamed_not_value(capsys):
+    # A superscript two passes str.isdigit() but not int(); a 5,000-digit
+    # index passes both checks but exceeds int()'s digit limit.
+    for name in ("s\u00b2", "s" + "1" * 5000):
+        code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", f"{name}=2")
+        assert code == 2 and out == ""
+        assert "bad variable name" in err and "bad value" not in err
+
+
+def test_eval_assignment_repeated_variable(capsys):
+    for text in ("s1=2,s1=3", "s1=2,s01=3"):
+        code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", text)
+        assert code == 2 and out == ""
+        assert "s1 assigned twice" in err
+
+
 def test_eval_non_finite_assignment(capsys):
     for value in ("nan", "inf", "-inf"):
         code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", f"s1={value}")

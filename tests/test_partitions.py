@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.partitions import (
     bell_count,
     check_partition,
+    coarsenings,
     fubini_count,
     ordered_set_partitions,
     unordered_set_partitions,
@@ -121,6 +123,43 @@ def test_no_duplicates_emitted():
         assert len(ordered) == len(set(ordered))
         unordered = unordered_set_partitions(full_universe(n))
         assert len(unordered) == len({frozenset(p) for p in unordered})
+
+
+def assert_coarsenings_match_brute_force(blocks):
+    """`coarsenings(blocks)`, for blocks sorted by smallest index, lists once
+    each unordered partition of their union that keeps every block whole,
+    parts sorted by smallest index."""
+    got = coarsenings(blocks)
+    union = mask_of(i for b in blocks for i in indices_of(b))
+    whole = [frozenset(indices_of(b)) for b in blocks]
+    expected = {
+        sigma
+        for sigma in brute_unordered_partitions(indices_of(union))
+        if all(any(block <= part for part in sigma) for block in whole)
+    }
+    assert {frozenset(frozenset(indices_of(p)) for p in parts) for parts in got} == expected
+    assert len(got) == len(set(got))
+    for parts in got:
+        check_partition(parts, union)
+        mins = [indices_of(p)[0] for p in parts]
+        assert mins == sorted(mins)
+
+
+def test_coarsenings_of_multi_variable_blocks():
+    blocks = [mask_of([1, 2]), mask_of([3]), mask_of([4, 5])]
+    assert_coarsenings_match_brute_force(blocks)
+    assert len(coarsenings(blocks)) == bell_count(3)
+
+
+def test_coarsenings_of_random_disjoint_blocks():
+    for seed in range(12):
+        rng = random.Random(seed)
+        elements = rng.sample(range(1, 10), rng.randint(1, 6))
+        cuts = sorted(rng.sample(range(1, len(elements)), rng.randint(0, len(elements) - 1)))
+        groups = [elements[i:j] for i, j in zip([0] + cuts, cuts + [len(elements)])]
+        blocks = sorted((mask_of(g) for g in groups), key=lambda b: indices_of(b)[0])
+        assert_coarsenings_match_brute_force(blocks)
+        assert len(coarsenings(blocks)) == bell_count(len(blocks))
 
 
 def test_fubini_values():
