@@ -260,7 +260,11 @@ def stuffle_size(m: int, n: int) -> int:
 
 
 def normalize(expr: Expression) -> CanonicalForm:
-    """Expand every term into single zeta factors, by one of two paths.
+    """Expand every term into single zeta factors.
+
+    A one-atom term is its own word: its coefficient goes to its own key,
+    and its depth joins the running total of slots.  A product term takes
+    one of two paths.
 
     A term with an atom of depth 2 or more is folded with repeated
     stuffles.  Its atoms are disjoint, so each folded word occurs exactly
@@ -295,6 +299,12 @@ def normalize(expr: Expression) -> CanonicalForm:
             acc.pop(parts, None)
 
     for term, coeff in expr.terms.items():
+        if len(term) == 1:
+            (atom,) = term
+            estimate += len(atom)
+            _check_slots(estimate)
+            add(atom, coeff)
+            continue
         if all(len(atom) == 1 for atom in term):
             estimate += bell_count(len(term)) * len(term)
             _check_slots(estimate)

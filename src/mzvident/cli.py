@@ -13,7 +13,7 @@ import sys
 
 from .algebra import Expression, LegalityError, normalize, stuffle_product
 from .identities import METHODS, hoffman_identity, verify
-from .indexsets import full_universe, indices_of
+from .indexsets import MAX_INDEX, full_universe, indices_of
 from .numeric import DEFAULT_TRUNCATION, residuals, term_values
 from .parsing import (
     ParseError,
@@ -76,6 +76,8 @@ def _parse_assignment(text: str) -> dict[int, float]:
             index = int(digits)
         except ValueError:  # more digits than int() converts
             raise CliError(f"bad variable name {name!r}") from None
+        if not 1 <= index <= MAX_INDEX:
+            raise CliError(f"bad variable name {name!r}")
         if index in assign:
             raise CliError(f"variable s{index} assigned twice")
         try:
@@ -139,6 +141,9 @@ def _cmd_rational(args) -> int:
 def _cmd_eval(args) -> int:
     expr = _load_expression(args.expr)
     assign = _parse_assignment(args.assign)
+    for j in assign:
+        if not expr.universe >> (j - 1) & 1:
+            raise CliError(f"variable s{j} does not occur in the expression")
     values = term_values(expr, assign, args.N)
     absres, relres = residuals(values)
     print(f"value: {math.fsum(values)!r}")

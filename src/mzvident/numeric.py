@@ -74,45 +74,53 @@ def atom_values(
 
     `block_row(block)`, the weights [f(1), ..., f(N-1)] of a block, is taken
     once per block: k^(-s) makes each value bit-identical to
-    `eval_zeta_truncated`, and integers with `total=sum` make it exact.  A DP
-    row depends only on the atom's suffix, so the atoms are visited sorted by
-    their reversed block tuples and a stack keeps the rows of the suffix
-    shared with the previous atom: every distinct suffix is computed once,
-    and only the rows on the current path stay alive.
+    `eval_zeta_truncated`, and integers with `total=sum` make it exact.  In
+    a depth-d atom the index at level L, counted from the atom's end, has L
+    smaller indices below it and d-1-L larger ones above it, so only
+    k = L+1 .. N-d+L can reach the sum: a row holds those N-d entries.  A
+    row depends only on the atom's depth and suffix, so the atoms are
+    visited by depth, then sorted by their reversed block tuples, and a
+    stack keeps the rows of the suffix shared with the previous atom: every
+    distinct suffix of each depth is computed once, and only the rows on
+    the current path stay alive.
 
     Raises ValueError, before a weight row would cross it, when the live
     entries (distinct blocks + live rows + 1) * (N - 1), with the deepest
     atom's depth standing for the live rows, exceed NUMERIC_BUDGET_FLOATS.
     """
-    atoms = sorted(set(atoms), key=lambda a: a[::-1])
+    atoms = sorted(set(atoms), key=lambda a: (len(a), a[::-1]))
     if not atoms:
         return {}
-    depth = max(map(len, atoms))
+    depth = len(atoms[-1])
     if depth >= n_trunc:
         raise ValueError("truncation too small")
     tables: dict[Block, list] = {}  # block -> block_row(block)
     values = {}
     path: tuple = ()  # reversed blocks of the rows on the stack
-    rows: list[list] = []  # rows[d]: the suffix of length d + 1
+    rows: list[list] = []  # rows[L]: the suffix of length L + 1
     for atom in atoms:
         rev = atom[::-1]
+        width = n_trunc - len(rev)
         shared = 0
-        while shared < min(len(path), len(rev)) and path[shared] == rev[shared]:
-            shared += 1
+        if len(path) == len(rev):  # distinct atoms of one depth differ somewhere
+            while path[shared] == rev[shared]:
+                shared += 1
         del rows[shared:]
-        for block in rev[shared:]:
-            row = tables.get(block)
-            if row is None:
+        for level in range(shared, len(rev)):
+            block = rev[level]
+            table = tables.get(block)
+            if table is None:
                 estimate = (len(tables) + 1 + depth + 1) * (n_trunc - 1)
                 if estimate > NUMERIC_BUDGET_FLOATS:
                     raise ValueError(
                         f"truncated evaluation refused: estimate {estimate} floats"
                         f" > budget {NUMERIC_BUDGET_FLOATS} floats"
                     )
-                row = tables[block] = block_row(block)
-            if rows:
-                # Index k takes the previous row's sum over the indices below k.
-                row = list(map(mul, row, accumulate(rows[-1][:-1], initial=0)))
+                table = tables[block] = block_row(block)
+            row = table[level : level + width]
+            if level:
+                # Entry k takes the previous row's sum over the indices below k.
+                row = list(map(mul, row, accumulate(rows[-1])))
             rows.append(row)
         path = rev
         values[atom] = total(rows[-1])

@@ -27,6 +27,7 @@ from .algebra import (
     Expression,
     LegalityError,
     ZetaAtom,
+    _add_pairs,
     term_order,
 )
 from .identities import METHODS, IdentityReport
@@ -171,61 +172,81 @@ _TERM_RE = re.compile(
 _ARGLIST_RE = re.compile(r"\(([^)]*)\)")
 
 
-def _scan(text: str) -> Optional[tuple[list[tuple[int, list[ZetaAtom]]], list[int]]]:
-    """What `_Parser(text).parse_expr()` returns, read one term per match.
+def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict]]:
+    """The universe and term dict of legal expression text, one term per match.
 
-    Returns None, and never raises, when the text is not a well-formed
-    expression with indices in 1..63 and no index repeated in a block; the
-    token parser then says what is wrong.  Each distinct block text is
-    converted to its mask once.
+    Returns None, and never raises, unless the text is a well-formed
+    expression with indices in 1..63 whose every term uses each variable of
+    the universe (`declared`, else the first term's) exactly once; the token
+    parser and `Expression.build` then say what is wrong.  A running `seen`
+    mask checks each term as its factors are read.  Each distinct factor
+    text is converted once, to its (lowest bit, atom, support).
     """
     masks: dict[str, int] = {}
-    entries = []
-    starts = []
+    factors: dict[str, tuple[int, ZetaAtom, int]] = {}
+    pairs = []
+    universe = declared
     pos = 0
     while term := _TERM_RE.match(text, pos):
         sign = term.group(1)
         # Only '-' may lead the first term, and every later one needs a sign.
-        if sign == ("+" if not entries else None):
+        if sign == ("+" if pos == 0 else None):
             return None
+        seen = 0
         atoms = []
         for arglist in _ARGLIST_RE.findall(text, term.start(4), term.end()):
-            atom = []
-            for block in arglist.split(","):
-                mask = masks.get(block)
-                if mask is None:
-                    try:
-                        mask = mask_of(int(var.strip()[1:]) for var in block.split("+"))
-                    except ValueError:
+            factor = factors.get(arglist)
+            if factor is None:
+                support = 0
+                atom = []
+                for block in arglist.split(","):
+                    mask = masks.get(block)
+                    if mask is None:
+                        try:
+                            mask = mask_of(int(var.strip()[1:]) for var in block.split("+"))
+                        except ValueError:
+                            return None
+                        masks[block] = mask
+                    if support & mask:
                         return None
-                    masks[block] = mask
-                atom.append(mask)
-            atoms.append(tuple(atom))
+                    support |= mask
+                    atom.append(mask)
+                factor = factors[arglist] = (support & -support, tuple(atom), support)
+            if seen & factor[2]:
+                return None
+            seen |= factor[2]
+            atoms.append(factor)
+        if universe is None:
+            universe = seen
+        elif seen != universe:
+            return None
         try:
             coeff = int(term.group(3) or 1)
         except ValueError:  # more digits than int() converts
             return None
-        entries.append((-coeff if sign == "-" else coeff, atoms))
-        starts.append(term.start(2))
+        # A legal term's atoms have disjoint supports, so their lowest bits
+        # differ and order the atoms by smallest index.
+        key = (atoms[0][1],) if len(atoms) == 1 else tuple(a for _, a, _ in sorted(atoms))
+        pairs.append((key, -coeff if sign == "-" else coeff))
         pos = term.end()
-    if not entries or text[pos:].strip():
+    if pos == 0 or text[pos:].strip():
         return None
-    return entries, starts
+    return universe, _add_pairs({}, pairs)
 
 
 def parse(text: str, universe: Optional[int] = None) -> Expression:
     """Parse expression text; `universe` declares the variable count n.
 
-    Well-formed text is read by `_scan`; anything it does not accept goes
-    to the token parser, the one source of syntax error messages.
+    Legal text is read by `_scan`; anything it does not accept goes to the
+    token parser and `Expression.build`, the one source of error messages.
     """
     declared = full_universe(universe) if universe else None
     if text.strip() == "0":
         return Expression(declared or 0, {})
-    scanned = _scan(text)
-    if scanned is None:
-        scanned = _Parser(text).parse_expr()
-    entries, starts = scanned
+    scanned = _scan(text, declared)
+    if scanned is not None:
+        return Expression(*scanned)
+    entries, starts = _Parser(text).parse_expr()
     supports = []
     for _, atoms in entries:
         m = 0

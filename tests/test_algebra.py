@@ -3,6 +3,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -216,6 +217,18 @@ def test_canonical_budget_boundary(monkeypatch):
     monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 4)
     with pytest.raises(ValueError, match="estimate 15 slots > budget 4 slots"):
         normalize(triple)
+
+
+def test_one_atom_terms_count_their_slots(monkeypatch):
+    # Each one-atom term is its own word and adds its depth to the running
+    # total: the six orderings of zeta(s1,s2,s3) and zeta(s1+s2+s3) add 19.
+    orderings = ["zeta(" + ",".join(f"s{j}" for j in p) + ")" for p in permutations((1, 2, 3))]
+    expr = parse(" + ".join(orderings) + " - 5*zeta(s1+s2+s3)")
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 19)
+    assert normalize(expr).coeffs == {t[0]: c for t, c in expr.terms.items()}
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 18)
+    with pytest.raises(ValueError, match="estimate 19 slots > budget 18 slots"):
+        normalize(expr)
 
 
 def _stirling2(n, r):

@@ -297,6 +297,24 @@ def test_eval_assignment_repeated_variable(capsys):
         assert "s1 assigned twice" in err
 
 
+def test_eval_assignment_index_out_of_range(capsys):
+    for text in ("s1=2,s0=1", "s1=2,s99=3", "s64=2,s1=2"):
+        code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", text)
+        assert code == 2 and out == ""
+        assert "bad variable name" in err
+
+
+def test_eval_assignment_unused_variable(capsys):
+    for expr, text, name in (
+        ("zeta(s1)", "s1=2,s2=3", "s2"),
+        ("zeta(s1)", "s63=2,s1=2", "s63"),
+        ("zeta(s1,s2)", "s3=2,s1=2,s2=2", "s3"),
+    ):
+        code, out, err = run(capsys, "eval", expr, "--assign", text)
+        assert code == 2 and out == ""
+        assert f"variable {name} does not occur in the expression" in err
+
+
 def test_eval_non_finite_assignment(capsys):
     for value in ("nan", "inf", "-inf"):
         code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", f"s1={value}")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -221,6 +222,56 @@ def test_term_values_equal_reference_on_shared_suffixes():
     assign = random_assignment(expr.universe, random.Random(59))
     for n_trunc in (6, 50):
         assert term_values(expr, assign, n_trunc) == reference_term_values(expr, assign, n_trunc)
+
+
+def full_row_values(atoms, block_row, n_trunc, total):
+    """Atom values by the full-row recurrence: every row holds all N - 1
+    entries, k = 1..N-1, and level by level entry k takes the previous
+    row's sum over the indices below k."""
+    values = {}
+    for atom in set(atoms):
+        row = block_row(atom[-1])
+        for block in reversed(atom[:-1]):
+            row = list(map(operator.mul, block_row(block), itertools.accumulate(row[:-1], initial=0)))
+        values[atom] = total(row)
+    return values
+
+
+def window_cases(n):
+    """Atom lists over s1..sn, n >= 2: depth n (rows of width 1 at N = n + 1),
+    depth n - 1, and mixed depths sharing suffixes."""
+    singles = [blk(j) for j in range(1, n + 1)]
+    deepest = list(itertools.permutations(singles))
+    merged = [(blk(1, 2),) + p for p in itertools.permutations(singles[2:])]
+    merged += [p[:-1] for p in deepest]  # n - 1 of the n variables
+    mixed = [a for d in range(1, n + 1) for a in itertools.permutations(singles, d)]
+    mixed.append((blk(*range(1, n + 1)),))
+    return {"depth n": deepest, "depth n-1": merged, "mixed": mixed}
+
+
+def test_windowed_rows_exact_at_vote_truncation():
+    # N = n + 1, integer weights: the depth-n rows hold one entry each.
+    rng = random.Random(151)
+    for n in (2, 3, 5):
+        weights = {j: [rng.randrange(1, 2**64) for _ in range(n)] for j in range(1, n + 1)}
+
+        def row(block):
+            return list(map(math.prod, zip(*map(weights.get, indices_of(block)))))
+
+        for name, atoms in window_cases(n).items():
+            want = full_row_values(atoms, row, n + 1, sum)
+            assert atom_values(atoms, row, n + 1, total=sum) == want, (n, name)
+
+
+def test_windowed_rows_float_identical():
+    assign = random_assignment(full_universe(5), random.Random(152))
+
+    def row(block):
+        s = sum(assign[j] for j in indices_of(block))
+        return [k**-s for k in range(1, 50)]
+
+    for name, atoms in window_cases(5).items():
+        assert atom_values(atoms, row, 50) == full_row_values(atoms, row, 50, math.fsum), name
 
 
 def test_term_values_errors():

@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mzvident.parsing
-from mzvident.algebra import CanonicalForm, normalize, stuffle_product, term_order
+from mzvident.algebra import (
+    CanonicalForm,
+    Expression,
+    LegalityError,
+    normalize,
+    stuffle_product,
+    term_order,
+)
 from mzvident.identities import IdentityReport, hoffman_identity, random_expression, verify
 from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.parsing import (
@@ -202,18 +209,42 @@ def token_soup(draw):
     return pick(SPACES) + "".join(tok + pick(SPACES) for tok in tokens)
 
 
+def slow_parse(text, declared):
+    """(universe, terms) from the token parser and Expression.build, None on any error."""
+    try:
+        entries, _ = _Parser(text).parse_expr()
+    except ParseError:
+        return None
+    # The set of each term's variables as a mask, by summing its distinct bits.
+    supports = {sum({1 << (j - 1) for atom in atoms for block in atom for j in indices_of(block)})
+                for _, atoms in entries}
+    if len(supports) != 1:
+        return None
+    try:
+        expr = Expression.build(declared or supports.pop(), entries)
+    except LegalityError:
+        return None
+    return expr.universe, expr.terms
+
+
 @given(token_soup())
+@example("zeta(s2)*zeta(s1,s3) - 2*zeta(s3,s1)*zeta(s2) + zeta(s1)*zeta(s2)*zeta(s3)")
+@example("zeta(s1)*zeta(s1)")
+@example("zeta(s1,s2+s1)")
+@example("zeta(s1,s2) - zeta(s1)")
+@example("zeta(s1,s2,s3) - zeta(s3,s2,s1)*zeta(s4)")
+@example("0*zeta(s1,s2,s3) + zeta(s1,s2,s3) - zeta(s3,s2,s1)")
 @settings(max_examples=250, deadline=None)
 def test_scanner_agrees_with_token_parser(text):
-    try:
-        want = _Parser(text).parse_expr()
-    except ParseError:
-        want = None
-    got = _scan(text)
-    if got is not None:
-        assert got == want, text
-    if want is not None:
-        assert got is not None, text
+    # Undeclared, and declared as {1..3}: what the scanner accepts is what
+    # the slow path builds, and it accepts whatever the slow path builds.
+    for declared in (None, full_universe(3)):
+        want = slow_parse(text, declared)
+        got = _scan(text, declared)
+        if got is not None:
+            assert got == want, text
+        if want is not None:
+            assert got is not None, text
 
 
 def test_valid_text_never_reaches_token_parser(monkeypatch):
