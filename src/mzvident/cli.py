@@ -13,7 +13,7 @@ import sys
 
 from .algebra import Expression, LegalityError, normalize, stuffle_product
 from .identities import METHODS, hoffman_identity, verify
-from .indexsets import MAX_INDEX, full_universe, indices_of
+from .indexsets import MAX_INDEX, full_universe, indices_of, min_index
 from .numeric import DEFAULT_TRUNCATION, residuals, term_values
 from .parsing import (
     ParseError,
@@ -52,9 +52,7 @@ def _load_expression(spec: str) -> Expression:
     # CLI boundary: the universe must be exactly {1..n}.
     n = expr.universe.bit_length()
     if expr.universe and expr.universe != full_universe(n):
-        missing = next(
-            j for j in range(1, n + 1) if not expr.universe & (1 << (j - 1))
-        )
+        missing = min_index(full_universe(n) & ~expr.universe)
         raise CliError(f"universe must be contiguous s1..s{n}; s{missing} is unused")
     return expr
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Optional
 
 from .algebra import (
     Block,
     Expression,
     ZetaAtom,
+    _add_pairs,
     atom_support,
     is_partition_identity,
     stuffle_product,
@@ -91,21 +92,18 @@ def stuffle_identity(u: ZetaAtom, v: ZetaAtom) -> Expression:
 
 def hoffman_identity(n: int) -> Expression:
     """Symmetric-sum identity: n! permutation terms minus the
-    signed products of depth-1 factors over unordered partitions."""
+    signed products of depth-1 factors over unordered partitions.  The
+    terms are legal by construction (parts come sorted by smallest index),
+    so they are summed without validation."""
     if n < 1 or n > HOFFMAN_CAP:
         raise ValueError(f"n must be in 1..{HOFFMAN_CAP}")
     universe = full_universe(n)
-    entries: list[tuple[int, tuple[ZetaAtom, ...]]] = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        atom = tuple(1 << (j - 1) for j in perm)
-        entries.append((1, (atom,)))
+    terms = dict.fromkeys(zip(itertools.permutations([1 << j for j in range(n)])), 1)
+    pairs = []
     for parts in unordered_set_partitions(universe):
-        coeff = (-1) ** (n - len(parts))
-        for p in parts:
-            coeff *= factorial(p.bit_count() - 1)
-        atoms = tuple((p,) for p in parts)
-        entries.append((-coeff, atoms))
-    return Expression.build(universe, entries)
+        coeff = (-1) ** (n - len(parts)) * prod(factorial(p.bit_count() - 1) for p in parts)
+        pairs.append((tuple((p,) for p in parts), -coeff))
+    return Expression(universe, _add_pairs(terms, pairs))
 
 
 def verify(

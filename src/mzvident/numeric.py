@@ -88,18 +88,18 @@ def atom_values(
     entries (distinct blocks + live rows + 1) * (N - 1), with the deepest
     atom's depth standing for the live rows, exceed NUMERIC_BUDGET_FLOATS.
     """
-    atoms = sorted(set(atoms), key=lambda a: (len(a), a[::-1]))
+    atoms = {atom[::-1]: atom for atom in atoms}  # reversed blocks -> atom
     if not atoms:
         return {}
-    depth = len(atoms[-1])
+    order = sorted(sorted(atoms), key=len)  # by depth, then reversed blocks
+    depth = len(order[-1])
     if depth >= n_trunc:
         raise ValueError("truncation too small")
     tables: dict[Block, list] = {}  # block -> block_row(block)
     values = {}
     path: tuple = ()  # reversed blocks of the rows on the stack
-    rows: list[list] = []  # rows[L]: the suffix of length L + 1
-    for atom in atoms:
-        rev = atom[::-1]
+    rows: list = []  # rows[L]: the suffix of length L + 1
+    for rev in order:
         width = n_trunc - len(rev)
         shared = 0
         if len(path) == len(rev):  # distinct atoms of one depth differ somewhere
@@ -117,13 +117,14 @@ def atom_values(
                         f" > budget {NUMERIC_BUDGET_FLOATS} floats"
                     )
                 table = tables[block] = block_row(block)
-            row = table[level : level + width]
+            row = table[level : level + width] if width > 1 else table[level]
             if level:
-                # Entry k takes the previous row's sum over the indices below k.
-                row = list(map(mul, row, accumulate(rows[-1])))
+                # Entry k takes the previous row's sum over the indices below k;
+                # a row of one index tuple is one entry, held as a scalar.
+                row = list(map(mul, row, accumulate(rows[-1]))) if width > 1 else row * rows[-1]
             rows.append(row)
         path = rev
-        values[atom] = total(rows[-1])
+        values[atoms[rev]] = rows[-1] if width == 1 else total(rows[-1])
     return values
 
 

@@ -28,6 +28,7 @@ from .algebra import (
     LegalityError,
     ZetaAtom,
     _add_pairs,
+    atom_support,
     term_order,
 )
 from .identities import METHODS, IdentityReport
@@ -161,15 +162,24 @@ class _Parser:
         return entries, starts
 
 
-# `arg {',' arg}` with `arg := var {'+' var}` is `var {('+'|',') var}`; the
-# shorter pattern compiles ten times faster than the nested one.
-_FACTOR = r"zeta\s*\(\s*s[0-9]+(?:\s*[+,]\s*s[0-9]+)*\s*\)"
-# One whole term and the sign before it (group 1): the term (group 2) is an
-# optional coefficient (group 3), then its factors (group 4).
-_TERM_RE = re.compile(
-    rf"\s*(?:([+-])\s*)?((?:([0-9]+)\s*\*\s*)?({_FACTOR}(?:\s*\*\s*{_FACTOR})*))"
-)
-_ARGLIST_RE = re.compile(r"\(([^)]*)\)")
+# One term of whitespace-free text and the sign before it (group 1): an
+# optional coefficient (group 2), then its factors (group 3), whose argument
+# lists `arg {',' arg}` are checked block by block: `arg := var {'+' var}`.
+_TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)\*)?(zeta\([^)]*\)(?:\*zeta\([^)]*\))*)")
+_ARG_RE = re.compile(r"s[0-9]+(?:\+s[0-9]+)*")
+# A space, in text whose whitespace runs are single spaces, that has neither
+# whitespace nor one of `+-*(),` on either side: removing it joins two tokens.
+_GLUE_RE = re.compile(r" (?<=[^\s+\-*(),] )(?=[^\s+\-*(),])")
+
+
+class _BlockMasks(dict):
+    """Block text -> mask, checked and converted on first lookup, else ValueError."""
+
+    def __missing__(self, block: str) -> int:
+        if not _ARG_RE.fullmatch(block):
+            raise ValueError(block)
+        mask = self[block] = mask_of(int(var[1:]) for var in block.split("+"))
+        return mask
 
 
 def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict]]:
@@ -178,58 +188,58 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     Returns None, and never raises, unless the text is a well-formed
     expression with indices in 1..63 whose every term uses each variable of
     the universe (`declared`, else the first term's) exactly once; the token
-    parser and `Expression.build` then say what is wrong.  A running `seen`
-    mask checks each term as its factors are read.  Each distinct factor
-    text is converted once, to its (lowest bit, atom, support).
+    parser and `Expression.build` then say what is wrong.  Whitespace is
+    removed once, unless that would join two tokens (`s 1`, `ze ta`).  A
+    running `seen` mask checks each term as its factors are read.  An
+    argument list becomes its factor's (lowest bit, atom, support) once per
+    distinct list in products, and a block text its mask once.
     """
-    masks: dict[str, int] = {}
+    text = " ".join(text.split())
+    if _GLUE_RE.search(text):
+        return None
+    text = text.replace(" ", "")
+    masks = _BlockMasks()
     factors: dict[str, tuple[int, ZetaAtom, int]] = {}
     pairs = []
     universe = declared
     pos = 0
-    while term := _TERM_RE.match(text, pos):
-        sign = term.group(1)
-        # Only '-' may lead the first term, and every later one needs a sign.
-        if sign == ("+" if pos == 0 else None):
-            return None
-        seen = 0
-        atoms = []
-        for arglist in _ARGLIST_RE.findall(text, term.start(4), term.end()):
-            factor = factors.get(arglist)
-            if factor is None:
-                support = 0
-                atom = []
-                for block in arglist.split(","):
-                    mask = masks.get(block)
-                    if mask is None:
-                        try:
-                            mask = mask_of(int(var.strip()[1:]) for var in block.split("+"))
-                        except ValueError:
-                            return None
-                        masks[block] = mask
-                    if support & mask:
-                        return None
-                    support |= mask
-                    atom.append(mask)
-                factor = factors[arglist] = (support & -support, tuple(atom), support)
-            if seen & factor[2]:
+    try:
+        for term in _TERM_RE.finditer(text):
+            sign, digits, body = term.groups()
+            # Terms tile the text; only '-' may lead the first term, and
+            # every later one needs a sign.
+            if term.start() != pos or sign == ("" if pos else "+"):
                 return None
-            seen |= factor[2]
-            atoms.append(factor)
-        if universe is None:
-            universe = seen
-        elif seen != universe:
-            return None
-        try:
-            coeff = int(term.group(3) or 1)
-        except ValueError:  # more digits than int() converts
-            return None
-        # A legal term's atoms have disjoint supports, so their lowest bits
-        # differ and order the atoms by smallest index.
-        key = (atoms[0][1],) if len(atoms) == 1 else tuple(a for _, a, _ in sorted(atoms))
-        pairs.append((key, -coeff if sign == "-" else coeff))
-        pos = term.end()
-    if pos == 0 or text[pos:].strip():
+            seen = 0
+            atoms = []
+            arglists = body[5:-1].split(")*zeta(")
+            for arglist in arglists:
+                factor = factors.get(arglist)
+                if factor is None:
+                    atom = tuple(map(masks.__getitem__, arglist.split(",")))
+                    # Disjoint blocks add without a carry: one bit per variable.
+                    support = sum(atom)
+                    if support.bit_count() != arglist.count("s"):
+                        return None
+                    factor = (support & -support, atom, support)
+                    if len(arglists) > 1:  # a one-factor term seldom repeats: not kept
+                        factors[arglist] = factor
+                if seen & factor[2]:
+                    return None
+                seen |= factor[2]
+                atoms.append(factor)
+            universe = universe or seen  # the first term's, unless declared
+            if seen != universe:
+                return None
+            coeff = int(digits or 1)
+            # A legal term's atoms have disjoint supports, so their lowest
+            # bits differ and order the atoms by smallest index.
+            key = (atoms[0][1],) if len(atoms) == 1 else tuple(a for _, a, _ in sorted(atoms))
+            pairs.append((key, -coeff if sign == "-" else coeff))
+            pos = term.end()
+    except ValueError:  # from mask_of, or int() of too many digits
+        return None
+    if pos != len(text) or not pos:
         return None
     return universe, _add_pairs({}, pairs)
 
@@ -247,18 +257,11 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
     if scanned is not None:
         return Expression(*scanned)
     entries, starts = _Parser(text).parse_expr()
-    supports = []
-    for _, atoms in entries:
-        m = 0
-        for atom in atoms:
-            for block in atom:
-                m |= block
-        supports.append(m)
+    supports = [atom_support(sum(atoms, ())) for _, atoms in entries]  # all blocks' union
     inferred = supports[0]
     for s, pos in zip(supports, starts):
         if s != inferred:
             raise ParseError("terms over different variable sets", pos)
-    target = declared if declared is not None else inferred
     pos = 0
 
     def located():
@@ -269,7 +272,7 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
             yield entry
 
     try:
-        return Expression.build(target, located())
+        return Expression.build(declared or inferred, located())
     except LegalityError as e:
         raise ParseError(str(e), pos) from None
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -23,7 +24,7 @@ from mzvident.identities import (
 from mzvident.indexsets import full_universe, mask_of
 from mzvident.numeric import random_assignment, residuals, term_values
 from mzvident.parsing import ParseError, parse, serialize
-from mzvident.partitions import bell_count
+from mzvident.partitions import bell_count, unordered_set_partitions
 from mzvident.ratfun import is_zero_combination, rational_terms_of_expression
 
 
@@ -93,6 +94,29 @@ def test_hoffman_term_counts():
 def test_hoffman_identity_holds_up_to_six():
     for n in range(1, 7):
         assert is_partition_identity(hoffman_identity(n))[0], n
+
+
+def validated_hoffman(n):
+    """Hoffman's identity summed through Expression.build, which validates
+    and canonicalizes every term."""
+    universe = full_universe(n)
+    entries = [(1, (tuple(blk(j) for j in perm),))
+               for perm in itertools.permutations(range(1, n + 1))]
+    for parts in unordered_set_partitions(universe):
+        coeff = (-1) ** (n - len(parts))
+        for p in parts:
+            coeff *= factorial(p.bit_count() - 1)
+        entries.append((-coeff, tuple((p,) for p in parts)))
+    return Expression.build(universe, entries)
+
+
+def test_hoffman_identity_equals_validated_build():
+    # The generator's terms skip validation, so they must already be the
+    # canonical legal terms, with the same coefficients and dict order.
+    for n in range(1, 9):
+        got, want = hoffman_identity(n), validated_hoffman(n)
+        assert got == want, n
+        assert list(got.terms.items()) == list(want.terms.items()), n
 
 
 def test_hoffman_out_of_range():

@@ -274,6 +274,27 @@ def test_windowed_rows_float_identical():
         assert atom_values(atoms, row, 50) == full_row_values(atoms, row, 50, math.fsum), name
 
 
+def test_one_entry_rows_equal_direct_product():
+    # At N = n + 1 a depth-n atom has the one index tuple k_i = n + 1 - i,
+    # so its value is prod_i f_{b_i}(n + 1 - i), with no sum to take.
+    rng = random.Random(153)
+    for n in range(2, 8):
+        weights = {j: [rng.randrange(1, 2**64) for _ in range(n)] for j in range(1, n + 1)}
+
+        def row(block):
+            return list(map(math.prod, zip(*map(weights.get, indices_of(block)))))
+
+        atoms = list(itertools.permutations([blk(j) for j in range(1, n + 1)]))
+        values = atom_values(atoms, row, n + 1, total=sum)
+        assert values == {
+            atom: math.prod(weights[j][n - 1 - i] for i, b in enumerate(atom) for j in indices_of(b))
+            for atom in atoms
+        }, n
+        # The values are keyed by the atoms passed in, not by copies.
+        keys = {key: key for key in values}
+        assert all(keys[atom] is atom for atom in atoms), n
+
+
 def test_term_values_errors():
     expr = parse("zeta(s1,s2,s3) - zeta(s1)*zeta(s2,s3)")
     assign = {1: 2.0, 2: 2.5, 3: 3.0}

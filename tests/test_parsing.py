@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +235,15 @@ def slow_parse(text, declared):
 @example("zeta(s1,s2) - zeta(s1)")
 @example("zeta(s1,s2,s3) - zeta(s3,s2,s1)*zeta(s4)")
 @example("0*zeta(s1,s2,s3) + zeta(s1,s2,s3) - zeta(s3,s2,s1)")
+# Removing the whitespace of these would join two tokens.
+@example("zeta(s 1)")
+@example("ze ta(s1)")
+@example("2 3*zeta(s1)")
+@example("zeta(s1) 2")
+@example("zeta(s1)-zeta(s 1)")
+# Non-ASCII whitespace: EM SPACE and the FILE SEPARATOR control.
+@example("\u2003zeta(s1,\u2003s2)\u2003-\x1c2*zeta(s1)\x1c*\u2003zeta(s2)\x1c")
+@example("zeta(s\u20031)\x1c")
 @settings(max_examples=250, deadline=None)
 def test_scanner_agrees_with_token_parser(text):
     # Undeclared, and declared as {1..3}: what the scanner accepts is what
@@ -245,6 +255,46 @@ def test_scanner_agrees_with_token_parser(text):
             assert got == want, text
         if want is not None:
             assert got is not None, text
+
+
+def test_whitespace_never_joins_tokens():
+    # Whitespace only separates tokens: text whose tokens would run together
+    # without it is the token parser's error, not a different expression.
+    for text, message in (
+        ("zeta(s 1)", "unexpected character 's' (at position 5)"),
+        ("ze ta(s1)", "unexpected character 'z' (at position 0)"),
+        ("2 3*zeta(s1)", "expected '*', found '3' (at position 2)"),
+        ("zeta(s1) 2", "expected 'eof', found '2' (at position 9)"),
+        ("zeta(s1)-zeta(s 1)", "unexpected character 's' (at position 14)"),
+        ("zeta(s1)-zeta(s1\u20032)", "expected ')', found '2' (at position 17)"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message, text
+    want = parse("zeta(s1,s2) - 2*zeta(s1)*zeta(s2)")
+    for space in ("\u2003", "\x1c", "\u00a0\t\u3000"):
+        text = space.join(["", "zeta", "(", "s1", ",", "s2", ")", "-", "2", "*", "zeta", "(",
+                           "s1", ")", "*", "zeta", "(", "s2", ")", ""])
+        assert parse(text) == want, repr(space)
+
+
+# A scanner that keeps every factor's argument list to the end of the parse
+# peaks at 1,913,192 traced bytes on the text below (Python 3.11.7).  Removing
+# whitespace up front adds a copy of the text, which must fit under that.
+H7_PARSE_PEAK_BYTES = 1_913_192
+
+
+def test_parse_peak_memory_of_scaled_hoffman_7():
+    expr = hoffman_identity(7).scale(37)
+    text = serialize(expr)
+    assert parse(text) == expr  # a first call, so nothing lazily built counts
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= H7_PARSE_PEAK_BYTES
 
 
 def test_valid_text_never_reaches_token_parser(monkeypatch):
