@@ -18,8 +18,8 @@ zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from itertools import permutations, repeat
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping, Optional
 
 from .indexsets import min_index
@@ -193,7 +193,9 @@ class CanonicalForm(_Frozen):
 
 # Most word slots (words times their length bound) one call may build: a
 # single stuffle_product, or normalize's running total of term bounds.
-# Hoffman n=8 (1,564,179 slots) fits; two depth-9 atoms (26,326,134) do not.
+# Hoffman n=8 (355,683 slots) and n=9 (3,456,246) fit, since normalize
+# cancels their products through the Moebius move; two depth-9 atoms
+# (26,326,134) do not.
 CANONICAL_BUDGET_WORDS = 1 << 22
 
 
@@ -259,6 +261,17 @@ def stuffle_size(m: int, n: int) -> int:
     return sum(comb(m, k) * comb(n, k) * 2**k for k in range(min(m, n) + 1))
 
 
+@lru_cache(maxsize=None)
+def _mobius_row(r: int) -> tuple[int, ...]:
+    """mu(sigma, tau) for sigma of r blocks and each coarsening tau, in
+    `coarsenings` order: the product of (-1)^(k-1) (k-1)! over tau's
+    blocks, each the union of k blocks of sigma."""
+    return tuple(
+        prod((-1) ** (k - 1) * factorial(k - 1) for k in map(int.bit_count, tau))
+        for tau in coarsenings(1 << i for i in range(r))
+    )
+
+
 def normalize(expr: Expression) -> CanonicalForm:
     """Expand every term into single zeta factors.
 
@@ -274,42 +287,38 @@ def normalize(expr: Expression) -> CanonicalForm:
     joins a running total.
 
     A term c*zeta(b_1)...zeta(b_k) of depth-1 atoms puts c on every
-    ordering of every coarsening of {b_1..b_k} (Hoffman's description of
-    the quasi-shuffle), so its coefficient on a key depends only on the
-    key's unordered partition.  Such terms are first summed per unordered
-    partition, g(sigma) = sum of c over the terms that sigma coarsens, by
-    walking each term's Bell(k) coarsenings (the zeta transform on the
-    partition lattice), and each term adds Bell(k)*k to the running total
-    before any is built, since a coarsening holds up to k blocks.
-    After the last term every ordering of each sigma with g(sigma) != 0
-    gets g(sigma); before any is built the total gains r!*r for each such
-    sigma of r blocks.
+    ordering of every coarsening of sigma = {b_1..b_k} (Hoffman's
+    description of the quasi-shuffle).  Such terms are kept as c(sigma),
+    and at the end every ordering of each tau gets g(tau), the sum of c
+    over the sigma that tau coarsens (the zeta transform on the partition
+    lattice).  Before that, finest first, a class sigma of c whose r!
+    orderings all carry v = -c(sigma) among the words so far is moved:
+    those words are the zeta transform of v*mu(sigma, .), mu the lattice's
+    Moebius function (Rota), so they are deleted and v*mu(sigma, tau) is
+    added to c(tau) over sigma's Bell(r) coarsenings.  That cancels
+    c(sigma), and in Hoffman's identity every product.  A move adds
+    Bell(r)*r to the running total, each entry of c left adds Bell(k)*k
+    before its walk, and each tau of r blocks with g(tau) != 0 adds r!*r
+    before any ordering is built.
 
     The running total may never exceed CANONICAL_BUDGET_WORDS.
     """
     acc: dict[tuple[Block, ...], int] = {}
-    lattice: dict[tuple[Block, ...], int] = {}  # sigma -> g(sigma)
+    lattice: dict[tuple[Block, ...], int] = {}  # sigma -> c(sigma)
     estimate = 0
-
-    def add(parts: tuple[Block, ...], coeff: int) -> None:
-        c = acc.get(parts, 0) + coeff
-        if c:
-            acc[parts] = c
-        else:
-            acc.pop(parts, None)
-
     for term, coeff in expr.terms.items():
         if len(term) == 1:
             (atom,) = term
             estimate += len(atom)
             _check_slots(estimate)
-            add(atom, coeff)
+            value = acc.get(atom, 0) + coeff
+            if value:
+                acc[atom] = value
+            else:
+                acc.pop(atom, None)
             continue
         if all(len(atom) == 1 for atom in term):
-            estimate += bell_count(len(term)) * len(term)
-            _check_slots(estimate)
-            for sigma in coarsenings(block for (block,) in term):
-                lattice[sigma] = lattice.get(sigma, 0) + coeff
+            lattice[tuple(block for (block,) in term)] = coeff
             continue
         first, *rest = term
         depth, bound = len(first), 1
@@ -321,14 +330,30 @@ def normalize(expr: Expression) -> CanonicalForm:
         words = [first]
         for atom in rest:
             words = [w2 for w in words for w2 in _stuffle_words(w, atom)]
-        for parts in words:
-            add(parts, coeff)
-    lattice = {sigma: g for sigma, g in lattice.items() if g}
-    estimate += sum(factorial(len(sigma)) * len(sigma) for sigma in lattice)
-    _check_slots(estimate)
-    for sigma, g in lattice.items():
+        _add_pairs(acc, zip(words, repeat(coeff)))
+    # Finest classes first: a move changes c only on coarser classes, so
+    # the moves made, and the total, do not depend on the order of terms.
+    for sigma in sorted(lattice, key=len, reverse=True):
+        v, r = -lattice.get(sigma, 0), len(sigma)
+        # Probe one ordering first; r! <= len(acc) bounds the full check.
+        if acc.get(sigma) != v or factorial(r) > len(acc) or (
+            set(map(acc.get, permutations(sigma))) != {v}
+        ):
+            continue
+        estimate += bell_count(r) * r
+        _check_slots(estimate)
         for parts in permutations(sigma):
-            add(parts, g)
+            del acc[parts]
+        _add_pairs(lattice, zip(coarsenings(sigma), [v * mu for mu in _mobius_row(r)]))
+    zeta: dict[tuple[Block, ...], int] = {}  # tau -> g(tau)
+    for sigma, coeff in lattice.items():
+        estimate += bell_count(len(sigma)) * len(sigma)
+        _check_slots(estimate)
+        _add_pairs(zeta, zip(coarsenings(sigma), repeat(coeff)))
+    estimate += sum(factorial(len(tau)) * len(tau) for tau in zeta)
+    _check_slots(estimate)
+    for tau, g in zeta.items():
+        _add_pairs(acc, zip(permutations(tau), repeat(g)))
     return CanonicalForm(expr.universe, acc)
 
 

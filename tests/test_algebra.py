@@ -24,8 +24,8 @@ from mzvident.algebra import (
     validate_legal_term,
 )
 from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
-from mzvident.indexsets import full_universe, mask_of
-from mzvident.partitions import unordered_set_partitions
+from mzvident.indexsets import full_universe, indices_of, mask_of
+from mzvident.partitions import ordered_set_partitions, unordered_set_partitions
 from mzvident.parsing import parse
 
 def blk(*idx):
@@ -231,6 +231,53 @@ def test_one_atom_terms_count_their_slots(monkeypatch):
         normalize(expr)
 
 
+def test_moved_class_budget(monkeypatch):
+    # H_3's six orderings add 3 slots each and zeta(s1+s2+s3) adds 1: 19.
+    # All six orderings carry 1 = -c(singletons), so that class is moved:
+    # Bell(3) * 3 = 15 for its coarsenings, 34.  The move cancels every
+    # product and leaves c = 2 on the one-block partition, whose walk adds
+    # Bell(1) * 1 = 1 and whose one ordering adds 1! * 1 = 1: 36 in all,
+    # where walking every product would take 65.
+    expr = hoffman_identity(3)
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 36)
+    assert normalize(expr).is_zero()
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 35)
+    with pytest.raises(ValueError, match="estimate 36 slots > budget 35 slots"):
+        normalize(expr)
+
+
+def test_moves_do_not_depend_on_term_order(monkeypatch):
+    # H_3 + zeta(s1+s2)*zeta(s3) - zeta(s1+s2,s3) - zeta(s3,s1+s2) is
+    # zeta(s1+s2+s3).  Its one-atom words add 23 slots.  Moving the
+    # singletons class (15) leaves c = 1 on {s1+s2, s3}, whose two
+    # orderings carry -1, so that class moves too (Bell(2) * 2 = 4); then
+    # c = 3 on the one-block partition walks and expands for 1 + 1: 44 in
+    # all.  Probing {s1+s2, s3} first, as its term comes first, would miss
+    # that move and take 48.
+    s12, s3 = blk(1, 2), blk(3)
+    extra = Expression.build(
+        blk(1, 2, 3), [(1, ((s12,), (s3,))), (-1, ((s12, s3),)), (-1, ((s3, s12),))]
+    )
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 44)
+    for expr in (extra + hoffman_identity(3), hoffman_identity(3) + extra):
+        assert normalize(expr).coeffs == {(blk(1, 2, 3),): 1}
+    monkeypatch.setattr(mzvident.algebra, "CANONICAL_BUDGET_WORDS", 43)
+    with pytest.raises(ValueError, match="estimate 44 slots > budget 43 slots"):
+        normalize(extra + hoffman_identity(3))
+
+
+def test_probe_match_enumerates_no_orderings_beyond_the_words(monkeypatch):
+    # zeta(s1,...,s11) matches the probe of the singletons class, but its
+    # 11! orderings cannot all be among one word, so none is enumerated:
+    # the walk's Bell(11) * 11 slots refuse the product after the word's 11.
+    # With `permutations` gone, any enumeration of orderings would fail.
+    singles = [f"s{j}" for j in range(1, 12)]
+    text = "*".join(f"zeta({s})" for s in singles) + f" - zeta({','.join(singles)})"
+    monkeypatch.setattr(mzvident.algebra, "permutations", None)
+    with pytest.raises(ValueError, match=f"estimate {11 + 678570 * 11} slots"):
+        normalize(parse(text))
+
+
 def _stirling2(n, r):
     if n == 0 or r == 0:
         return int(n == r)
@@ -420,6 +467,73 @@ def test_adding_hoffman_identity_keeps_canonical_form(n, seed, k):
     assert normalize(expr + hoffman_identity(n).scale(k)) == normalize(expr)
 
 
+def _oracle_coefficient(expr, parts):
+    """coeff_E(parts) without expanding: a term's words hold `parts` iff each
+    block b lies inside pos(b), the block of `parts` with b's smallest index,
+    and pos strictly increases along each atom (Hoffman)."""
+    pos = {1 << (i - 1): j for j, p in enumerate(parts) for i in indices_of(p)}
+
+    def lands(term):
+        for atom in term:
+            last = -1
+            for b in atom:
+                j = pos[b & -b]
+                if j <= last or b & ~parts[j]:
+                    return False
+                last = j
+        return True
+
+    return sum(coeff for term, coeff in expr.terms.items() if lands(term))
+
+
+def _oracle_inputs(rng):
+    """Inputs for the Moebius move: symmetric classes, broken ones, folds."""
+    for n in range(1, 6):
+        h = hoffman_identity(n)
+        singles = tuple(blk(j) for j in range(1, n + 1))
+        yield h.scale(rng.randint(-9, 9))
+        if n > 1:
+            # One extra ordering, or one missing, breaks the class's symmetry,
+            # off the probed ordering and on it.
+            for order in (singles[1::-1] + singles[2:], singles):
+                for sign in (-1, 1):
+                    yield h + Expression.build(h.universe, [(sign, (order,))])
+            # One more product of the singletons: the probe no longer matches.
+            yield h + Expression.build(h.universe, [(1, tuple((b,) for b in singles))])
+        products = [p for p in unordered_set_partitions(h.universe) if len(p) > 1]
+        for _ in range(2 if products else 0):
+            # c*(T - expansion(T)) for a depth-1 product T: alone, with a
+            # multiple of H_n and with a random expression.
+            t = _expansion_identity(tuple((b,) for b in rng.choice(products)))
+            t = t.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+            yield t
+            yield t + h.scale(rng.randint(-2, 2))
+            yield t + random_expression(h.universe, rng)
+    # Fold words on the singletons class: zeta(s1,s2)*zeta(s3) and
+    # zeta(s2,s1)*zeta(s3) put 1 on its six orderings, so with -c = 1 it is
+    # moved; with one fold it is not.
+    s1, s2, s3 = blk(1), blk(2), blk(3)
+    folds = [(1, ((s1, s2), (s3,))), (1, ((s2, s1), (s3,))), (-1, ((s1,), (s2,), (s3,)))]
+    yield Expression.build(blk(1, 2, 3), folds)
+    yield Expression.build(blk(1, 2, 3), folds[1:]) + hoffman_identity(3)
+    for _ in range(10):
+        yield random_expression(full_universe(rng.randint(1, 5)), rng)
+
+
+def test_normalize_matches_expansion_free_oracle_on_every_ordered_partition():
+    rng = random.Random(97)
+    for expr in _oracle_inputs(rng):
+        want = {}
+        for parts in ordered_set_partitions(expr.universe):
+            coeff = _oracle_coefficient(expr, parts)
+            if coeff:
+                want[parts] = coeff
+        assert dict(normalize(expr).coeffs) == want
+        ok, witness = is_partition_identity(expr)
+        assert ok == (not want)
+        assert witness is None or want[witness[0]] == witness[1]
+
+
 # --- normalization ---------------------------------------------------------
 
 
@@ -468,6 +582,10 @@ def test_is_partition_identity_missing_term():
 
 def test_zero_expression_is_identity():
     ok, witness = is_partition_identity(Expression(full_universe(2), {}))
+    assert ok and witness is None
+    # The constructor keeps zero coefficients; they add no key.
+    zeros = {((blk(1, 2),),): 0, ((blk(1),), (blk(2),)): 0, ((blk(1), blk(2)),): 0}
+    ok, witness = is_partition_identity(Expression(full_universe(2), zeros))
     assert ok and witness is None
 
 
