@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations, repeat
 from math import comb, factorial, prod
+from operator import eq
 from typing import Callable, Iterable, Mapping, Optional
 
 from .indexsets import min_index
@@ -335,9 +336,11 @@ def normalize(expr: Expression) -> CanonicalForm:
     # the moves made, and the total, do not depend on the order of terms.
     for sigma in sorted(lattice, key=len, reverse=True):
         v, r = -lattice.get(sigma, 0), len(sigma)
-        # Probe one ordering first; r! <= len(acc) bounds the full check.
-        if acc.get(sigma) != v or factorial(r) > len(acc) or (
-            set(map(acc.get, permutations(sigma))) != {v}
+        # Probe one ordering first.  The full check stops at the first
+        # ordering without v; each word of acc orders one class only, so
+        # all checks read at most len(acc) plus one word per class.
+        if acc.get(sigma) != v or factorial(r) > len(acc) or not all(
+            map(eq, map(acc.get, permutations(sigma)), repeat(v))
         ):
             continue
         estimate += bell_count(r) * r

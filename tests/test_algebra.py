@@ -24,7 +24,7 @@ from mzvident.algebra import (
     validate_legal_term,
 )
 from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
-from mzvident.indexsets import full_universe, indices_of, mask_of
+from mzvident.indexsets import full_universe, indices_of, mask_of, min_index
 from mzvident.partitions import ordered_set_partitions, unordered_set_partitions
 from mzvident.parsing import parse
 
@@ -276,6 +276,42 @@ def test_probe_match_enumerates_no_orderings_beyond_the_words(monkeypatch):
     monkeypatch.setattr(mzvident.algebra, "permutations", None)
     with pytest.raises(ValueError, match=f"estimate {11 + 678570 * 11} slots"):
         normalize(parse(text))
+
+
+def test_failed_symmetry_checks_read_no_more_orderings_than_the_words(monkeypatch):
+    # Each of the S(7, 5) = 140 five-block partitions sigma of s1..s7 gets
+    # -zeta(b_1)...zeta(b_5) and +1 on its first j orderings, j = 1..5, so
+    # every probe matches and every full check fails at ordering j + 1.  A
+    # check that read all 5! = 120 orderings of each class would read
+    # 16,800; stopping at the first miss reads one ordering per word plus
+    # one per class.  No class moves, so the first coarsening built is
+    # the walk's, where the count is taken.
+    entries, words = [], 0
+    for i, blocks in enumerate(p for p in unordered_set_partitions(full_universe(7)) if len(p) == 5):
+        sigma = tuple(sorted(blocks, key=min_index))
+        entries.append((-1, tuple((b,) for b in sigma)))
+        for word in list(permutations(sigma))[: 1 + i % 5]:
+            entries.append((1, (word,)))
+            words += 1
+    read = 0
+
+    def counted(blocks):
+        nonlocal read
+        for word in permutations(blocks):
+            read += 1
+            yield word
+
+    class Walked(Exception):
+        pass
+
+    def walk(blocks):
+        raise Walked
+
+    monkeypatch.setattr(mzvident.algebra, "permutations", counted)
+    monkeypatch.setattr(mzvident.algebra, "coarsenings", walk)
+    with pytest.raises(Walked):
+        normalize(Expression.build(full_universe(7), entries))
+    assert read <= words + 140 < 140 * 120
 
 
 def _stirling2(n, r):
