@@ -276,9 +276,9 @@ def _mobius_row(r: int) -> tuple[int, ...]:
 def normalize(expr: Expression) -> CanonicalForm:
     """Expand every term into single zeta factors.
 
-    A one-atom term is its own word: its coefficient goes to its own key,
-    and its depth joins the running total of slots.  A product term takes
-    one of two paths.
+    Terms with coefficient 0 are skipped.  A one-atom term is its own word:
+    its coefficient goes to its own key, and its depth joins the running
+    total of slots.  A product term takes one of two paths.
 
     A term with an atom of depth 2 or more is folded with repeated
     stuffles.  Its atoms are disjoint, so each folded word occurs exactly
@@ -308,6 +308,8 @@ def normalize(expr: Expression) -> CanonicalForm:
     lattice: dict[tuple[Block, ...], int] = {}  # sigma -> c(sigma)
     estimate = 0
     for term, coeff in expr.terms.items():
+        if not coeff:  # contributes nothing: no slot charged, no word built
+            continue
         if len(term) == 1:
             (atom,) = term
             estimate += len(atom)

@@ -5,7 +5,9 @@ f_j(k) = k^(-s_j) in floats.  The numeric vote takes seeded integers in
 [1, 2^64) and N = n + 1, where each index tuple lies in exactly one ordered
 partition, so an expression's value is a degree-n polynomial in the weights
 with its canonical coefficients: a nonzero value refutes exactly, and a zero
-errs with probability at most n / 2^64 (Schwartz-Zippel).
+errs with probability at most n / 2^64 (Schwartz-Zippel).  There a
+full-depth atom's value is one product of two shared halves (meet in the
+middle, Horowitz and Sahni 1974).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import accumulate
-from operator import mul
+from operator import getitem, itemgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Block, Expression, ZetaAtom
@@ -117,14 +119,13 @@ def atom_values(
                         f" > budget {NUMERIC_BUDGET_FLOATS} floats"
                     )
                 table = tables[block] = block_row(block)
-            row = table[level : level + width] if width > 1 else table[level]
+            row = table[level : level + width]
             if level:
-                # Entry k takes the previous row's sum over the indices below k;
-                # a row of one index tuple is one entry, held as a scalar.
-                row = list(map(mul, row, accumulate(rows[-1]))) if width > 1 else row * rows[-1]
+                # Entry k takes the previous row's sum over the indices below k.
+                row = list(map(mul, row, accumulate(rows[-1])))
             rows.append(row)
         path = rev
-        values[atoms[rev]] = rows[-1] if width == 1 else total(rows[-1])
+        values[atoms[rev]] = total(rows[-1])
     return values
 
 
@@ -166,16 +167,28 @@ def residuals(values: Sequence[float]) -> tuple[float, float]:
 def residual_report(expr: Expression, seed: int) -> int:
     """Exact value of `expr` truncated at N = n + 1, at integer weights f_j(k)
     in [1, 2^64), k = 1..n, drawn from `seed` variable by variable in index
-    order; zero for every identity."""
+    order; zero for every identity.  At this N alone a full-depth atom
+    zeta(a_0, ..., a_{n-1}) has one index tuple, k_i = n - i, so its value
+    is one product; each distinct half before and after block n // 2 is
+    multiplied out once.  Other atoms go through `atom_values`."""
     rng, n = random.Random(seed), expr.universe.bit_count()
     weights = {j: [rng.randrange(1, 2**64) for _ in range(n)] for j in indices_of(expr.universe)}
+    full = {term[0]: coeff for term, coeff in expr.terms.items() if len(term[0]) == n}
+    rest = [(term, coeff) for term, coeff in expr.terms.items() if len(term[0]) < n]
     values = atom_values(
-        (atom for term in expr.terms for atom in term),
+        (atom for term, _ in rest for atom in term),
         lambda block: list(map(math.prod, zip(*map(weights.get, indices_of(block))))),
         n + 1,
         total=sum,
     )
-    return sum(coeff * math.prod(map(values.get, term)) for term, coeff in expr.terms.items())
+    # columns[i]: one-variable block -> its weight at k = n - i.
+    columns = [{1 << j - 1: w[n - 1 - i] for j, w in weights.items()} for i in range(n)]
+    first, second = itemgetter(slice(n // 2)), itemgetter(slice(n // 2, None))
+    heads = {half: math.prod(map(getitem, columns, half)) for half in set(map(first, full))}
+    tails = {half: math.prod(map(getitem, columns[n // 2 :], half)) for half in set(map(second, full))}
+    products = map(mul, map(heads.__getitem__, map(first, full)), map(tails.__getitem__, map(second, full)))
+    value = sum(coeff * math.prod(map(values.get, term)) for term, coeff in rest)
+    return value + sum(map(mul, full.values(), products))
 
 
 def random_assignment(universe: int, rng: random.Random) -> dict[int, float]:

@@ -20,6 +20,7 @@ see README for the schema.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
@@ -190,16 +191,23 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     the universe (`declared`, else the first term's) exactly once; the token
     parser and `Expression.build` then say what is wrong.  Whitespace is
     removed once, unless that would join two tokens (`s 1`, `ze ta`).  A
-    running `seen` mask checks each term as its factors are read.  An
-    argument list becomes its factor's (lowest bit, atom, support) once per
-    distinct list in products, and a block text its mask once.
+    term's blocks add without a carry, one bit per variable, iff disjoint,
+    so their sum must have a bit per `s` and equal the universe.  A product
+    term sums its factors, each argument list read once; a block text
+    becomes its mask once.
     """
     text = " ".join(text.split())
     if _GLUE_RE.search(text):
         return None
     text = text.replace(" ", "")
     masks = _BlockMasks()
-    factors: dict[str, tuple[int, ZetaAtom, int]] = {}
+
+    @lru_cache(maxsize=None)
+    def factor(arglist: str) -> tuple[int, ZetaAtom, int]:  # (lowest bit, atom, blocks' sum)
+        atom = tuple(map(masks.__getitem__, arglist.split(",")))
+        support = sum(atom)
+        return support & -support, atom, support
+
     pairs = []
     universe = declared
     pos = 0
@@ -210,31 +218,18 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
             # every later one needs a sign.
             if term.start() != pos or sign == ("" if pos else "+"):
                 return None
-            seen = 0
-            atoms = []
-            arglists = body[5:-1].split(")*zeta(")
-            for arglist in arglists:
-                factor = factors.get(arglist)
-                if factor is None:
-                    atom = tuple(map(masks.__getitem__, arglist.split(",")))
-                    # Disjoint blocks add without a carry: one bit per variable.
-                    support = sum(atom)
-                    if support.bit_count() != arglist.count("s"):
-                        return None
-                    factor = (support & -support, atom, support)
-                    if len(arglists) > 1:  # a one-factor term seldom repeats: not kept
-                        factors[arglist] = factor
-                if seen & factor[2]:
-                    return None
-                seen |= factor[2]
-                atoms.append(factor)
-            universe = universe or seen  # the first term's, unless declared
-            if seen != universe:
+            if ")*" in body:
+                atoms = list(map(factor, body[5:-1].split(")*zeta(")))
+                support = sum([s for _, _, s in atoms])
+                # Disjoint atoms' lowest bits order them by smallest index.
+                key = tuple([atom for _, atom, _ in sorted(atoms)])
+            else:
+                atom = tuple(map(masks.__getitem__, body[5:-1].split(",")))
+                support, key = sum(atom), (atom,)
+            universe = universe or support  # the first term's, unless declared
+            if support != universe or support.bit_count() != body.count("s"):
                 return None
             coeff = int(digits or 1)
-            # A legal term's atoms have disjoint supports, so their lowest
-            # bits differ and order the atoms by smallest index.
-            key = (atoms[0][1],) if len(atoms) == 1 else tuple(a for _, a, _ in sorted(atoms))
             pairs.append((key, -coeff if sign == "-" else coeff))
             pos = term.end()
     except ValueError:  # from mask_of, or int() of too many digits

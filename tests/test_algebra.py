@@ -353,6 +353,21 @@ def test_eleven_depth_one_factors_refused_before_their_coarsenings():
     assert peak < 1 << 20
 
 
+def test_zero_coefficient_terms_charge_nothing():
+    # The constructor keeps coefficient-0 terms; each contributes nothing,
+    # so normalize neither charges nor builds it.  Charged, the product of
+    # eleven depth-1 factors would be refused at Bell(11) * 11 = 7,464,270
+    # slots and the (9, 9) product at stuffle_size(9, 9) * 18 = 26,326,134.
+    eleven = ((blk(j),) for j in range(1, 12))
+    first, second = (tuple(blk(j) for j in range(lo, lo + 9)) for lo in (1, 10))
+    for universe, term in ((full_universe(11), tuple(eleven)), (full_universe(18), (first, second))):
+        assert normalize(Expression(universe, {term: 0})) == CanonicalForm(universe, {})
+    # Next to live terms they change nothing either.
+    h = hoffman_identity(4)
+    zeros = dict.fromkeys([((blk(1), blk(2)), (blk(3), blk(4))), ((blk(1, 2), blk(3, 4)),)], 0)
+    assert normalize(Expression(h.universe, {**h.terms, **zeros})).is_zero()
+
+
 def test_hoffman_seven_within_canonical_budget():
     assert normalize(hoffman_identity(7)).is_zero()
 

@@ -410,3 +410,41 @@ def test_exact_vote_unchanged_by_adding_an_identity(data, seed):
     value = residual_report(expr, seed)
     assert residual_report(expr + identity, seed) == value
     assert (value == 0) == is_partition_identity(expr)[0]
+
+
+def full_depth_vote_cases():
+    """Inputs with one-atom terms of full depth (one variable per block) next
+    to other terms: k * H_n +- c * (such an atom) +- a product term for
+    n = 1..7 (at n = 1 there is no product term and the atom's first half
+    is empty), the gapped universes {2,5,7} and {1,3,4,6}, and an input of
+    full-depth terms only."""
+    rng = random.Random(157)
+
+    def coeff():
+        return rng.choice([-1, 1]) * rng.randrange(1, 10**6)
+
+    cases = []
+    for n in range(1, 8):
+        order = rng.sample(range(1, n + 1), n)
+        entries = [(coeff(), [tuple(blk(j) for j in order)])]
+        if n > 1:
+            cut = rng.randrange(1, n)
+            entries.append((coeff(), [tuple(blk(j) for j in order[:cut]), (blk(*order[cut:]),)]))
+        cases.append(hoffman_identity(n).scale(coeff()) + Expression.build(full_universe(n), entries))
+    for indices in ([2, 5, 7], [1, 3, 4, 6]):
+        entries = [(coeff(), [tuple(map(blk, p))]) for p in itertools.permutations(indices)]
+        entries.append((coeff(), [(blk(indices[0]),), (blk(*indices[1:]),)]))
+        cases.append(Expression.build(mask_of(indices), entries))
+    atoms = rng.sample(list(itertools.permutations([blk(j) for j in range(1, 6)])), 40)
+    cases.append(Expression.build(full_universe(5), [(coeff(), [a]) for a in atoms]))
+    return cases
+
+
+def test_full_depth_terms_vote_exactly():
+    # A full-depth term's value is split after its first n // 2 blocks; the
+    # halves' weight columns k = n .. n - n//2 + 1 and below must line up.
+    cases = full_depth_vote_cases()
+    assert all(any(len(t) == 1 and len(t[0]) == e.universe.bit_count() for t in e.terms) for e in cases)
+    for expr in cases:
+        for seed in range(10):
+            assert residual_report(expr, seed) == brute_exact(expr, seed), (expr.universe, seed)

@@ -235,6 +235,13 @@ def slow_parse(text, declared):
 @example("zeta(s1,s2) - zeta(s1)")
 @example("zeta(s1,s2,s3) - zeta(s3,s2,s1)*zeta(s4)")
 @example("0*zeta(s1,s2,s3) + zeta(s1,s2,s3) - zeta(s3,s2,s1)")
+# A term's blocks are summed: a carry can still give the universe, within
+# one factor or across factors; overlapping factors; a bad factor that is
+# kept for later terms.
+@example("zeta(s2) + zeta(s1,s1)")
+@example("zeta(s2)*zeta(s3) - zeta(s1)*zeta(s1)*zeta(s3)")
+@example("zeta(s1,s2)*zeta(s2+s3)")
+@example("zeta(s1,s1)*zeta(s2) + zeta(s1,s2)")
 # Removing the whitespace of these would join two tokens.
 @example("zeta(s 1)")
 @example("ze ta(s1)")
