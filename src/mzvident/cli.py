@@ -130,7 +130,7 @@ def _cmd_rational(args) -> int:
         )
         print(f"{coeff:+d} * {'*'.join(atom_text(a) for a in term)}  ->  1 / [{rendered}]")
     if args.check:
-        ok = kronecker_zero_test(terms, expr.universe.bit_length())
+        ok = kronecker_zero_test(terms)
         print(f"zero combination: {'yes' if ok else 'no'}")
         return 0 if ok else 1
     return 0

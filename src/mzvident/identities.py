@@ -135,9 +135,7 @@ def verify(
 
     if "rational" in methods:
         rats = rational_terms_of_expression(expr.terms.items())
-        report.per_method["rational"] = is_zero_combination(
-            rats, expr.universe.bit_length(), seed
-        )
+        report.per_method["rational"] = is_zero_combination(rats, seed)
 
     if "numeric" in methods:
         report.per_method["numeric"] = residual_report(expr, seed) == 0

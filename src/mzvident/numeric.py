@@ -140,13 +140,7 @@ def term_values(expr: Expression, assign: Assignment, n_trunc: int) -> list[floa
         return [k ** -s for k in range(1, n_trunc)]
 
     values = atom_values((atom for term in expr.terms for atom in term), powers, n_trunc)
-    out = []
-    for term, coeff in expr.terms.items():
-        value = 1.0
-        for atom in term:
-            value *= values[atom]
-        out.append(coeff * value)
-    return out
+    return [coeff * math.prod(map(values.get, term)) for term, coeff in expr.terms.items()]
 
 
 def eval_expression(expr: Expression, assign: Assignment, n_trunc: int) -> float:

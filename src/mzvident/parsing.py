@@ -31,6 +31,7 @@ from .algebra import (
     _add_pairs,
     atom_support,
     term_order,
+    validate_legal_term,
 )
 from .identities import METHODS, IdentityReport
 from .indexsets import MAX_INDEX, full_universe, indices_of, mask_of
@@ -189,7 +190,7 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     Returns None, and never raises, unless the text is a well-formed
     expression with indices in 1..63 whose every term uses each variable of
     the universe (`declared`, else the first term's) exactly once; the token
-    parser and `Expression.build` then say what is wrong.  Whitespace is
+    parser and `validate_legal_term` then say what is wrong.  Whitespace is
     removed once, unless that would join two tokens (`s 1`, `ze ta`).  A
     term's blocks add without a carry, one bit per variable, iff disjoint,
     so their sum must have a bit per `s` and equal the universe.  A product
@@ -208,16 +209,17 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
         support = sum(atom)
         return support & -support, atom, support
 
-    pairs = []
     universe = declared
-    pos = 0
-    try:
+
+    def pairs():  # (key, coeff) per term, else ValueError
+        nonlocal universe
+        pos = 0
         for term in _TERM_RE.finditer(text):
             sign, digits, body = term.groups()
             # Terms tile the text; only '-' may lead the first term, and
             # every later one needs a sign.
             if term.start() != pos or sign == ("" if pos else "+"):
-                return None
+                raise ValueError
             if ")*" in body:
                 atoms = list(map(factor, body[5:-1].split(")*zeta(")))
                 support = sum([s for _, _, s in atoms])
@@ -228,22 +230,25 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
                 support, key = sum(atom), (atom,)
             universe = universe or support  # the first term's, unless declared
             if support != universe or support.bit_count() != body.count("s"):
-                return None
+                raise ValueError
             coeff = int(digits or 1)
-            pairs.append((key, -coeff if sign == "-" else coeff))
+            yield key, -coeff if sign == "-" else coeff
             pos = term.end()
-    except ValueError:  # from mask_of, or int() of too many digits
+        if pos != len(text) or not pos:
+            raise ValueError
+
+    try:
+        terms = _add_pairs({}, pairs())
+    except ValueError:  # from a check, mask_of, or int() of too many digits
         return None
-    if pos != len(text) or not pos:
-        return None
-    return universe, _add_pairs({}, pairs)
+    return universe, terms
 
 
 def parse(text: str, universe: Optional[int] = None) -> Expression:
     """Parse expression text; `universe` declares the variable count n.
 
     Legal text is read by `_scan`; anything it does not accept goes to the
-    token parser and `Expression.build`, the one source of error messages.
+    token parser and `validate_legal_term`, the one source of error messages.
     """
     declared = full_universe(universe) if universe else None
     if text.strip() == "0":
@@ -257,19 +262,13 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
     for s, pos in zip(supports, starts):
         if s != inferred:
             raise ParseError("terms over different variable sets", pos)
-    pos = 0
-
-    def located():
-        # Expression.build validates each entry as it draws it, so on a
-        # LegalityError `pos` is the start of the offending term.
-        nonlocal pos
-        for entry, pos in zip(entries, starts):
-            yield entry
-
-    try:
-        return Expression.build(declared or inferred, located())
-    except LegalityError as e:
-        raise ParseError(str(e), pos) from None
+    universe = declared or inferred
+    for (_, atoms), pos in zip(entries, starts):
+        try:
+            validate_legal_term(atoms, universe)
+        except LegalityError as e:
+            raise ParseError(str(e), pos) from None
+    return Expression.build(universe, entries)
 
 
 def block_text(block: int) -> str:

@@ -16,8 +16,8 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 44, 2009): x_j -> 2^(k*stride_j) with mixed-radix strides from the LCD
 degrees, and a digit width k that bounds every coefficient, so the integer
 is 0 iff the polynomial is.  The numerator is evaluated in factored form,
-by Horner's rule: terms are grouped by the factors they lack, and a group
-shares each multiply.
+by Horner's rule as a recursion: terms are grouped by the factors they
+lack, and a group shares each multiply.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LegalTerm
@@ -36,7 +37,7 @@ RationalTermRep = Counter
 
 # Largest packed numerator, in bits, the exact zero test will build.  It
 # admits Hoffman n=5 (about 5.7e7 bits) and refuses n=6 (about 9.7e10).
-# The factored pass holds one partial sum per open factor level, each below
+# The recursive Horner pass holds one partial sum per factor level, each below
 # the packed estimate, plus the operands of one shift-subtract: on Hoffman
 # n=5 its traced peak is about 5.2 times estimate / 8 bytes (37 MB).
 KRONECKER_BUDGET_BITS = 1 << 28
@@ -48,8 +49,8 @@ class ZeroTestTooLarge(ValueError):
     def __init__(self, estimate: int, budget: int):
         self.estimate = estimate
         self.budget = budget
-        self.reason = f"estimate {estimate} bits > budget {budget} bits"
-        super().__init__(f"rational zero test refused: {self.reason}")
+        super().__init__(f"rational zero test refused: estimate {estimate} bits"
+                         f" > budget {budget} bits")
 
 
 def rational_term_of(term: LegalTerm) -> RationalTermRep:
@@ -77,22 +78,23 @@ def _lcd(terms: Sequence[tuple[int, Mapping[int, int]]]) -> Counter:
 
 
 def kronecker_layout(
-    terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int
+    terms: Sequence[tuple[int, Mapping[int, int]]]
 ) -> tuple[list[tuple[int, int, int]], int]:
     """(support, LCD power, shift) per LCD factor, and the size estimate in
     bits of the packed numerator.
 
-    The cleared numerator has degree at most d_j in x_j, where d_j is the
-    sum of lcd[S] over the supports S containing j, so x_j -> 2^(k*stride_j)
-    with stride_j = prod_{i<j} (d_i + 1) sends distinct monomials to
-    distinct base-2^k digits.  A term with total deficit D contributes coefficients
+    The variables are x_1..x_n, n the highest index in any LCD support.  The
+    cleared numerator has degree at most d_j in x_j, where d_j is the sum of
+    lcd[S] over the supports S containing j, so x_j -> 2^(k*stride_j) with
+    stride_j = prod_{i<j} (d_i + 1) sends distinct monomials to distinct
+    base-2^k digits.  A term with total deficit D contributes coefficients
     of absolute value at most |c| * 2^D, so with
     k = bits(sum |c|) + max D + 2 every coefficient lies below 2^(k-1) and
     the signed digits are unique.  The packed integer has at most
-    k * prod (d_j + 1) bits.  Factors come in ascending shift order.
+    k * prod (d_j + 1) bits.  Factors come largest shift first.
     """
     lcd = _lcd(terms)
-    degrees = [0] * nvars
+    degrees = [0] * max(map(int.bit_length, lcd), default=0)
     for support, mult in lcd.items():
         for j in indices_of(support):
             degrees[j - 1] += mult
@@ -107,23 +109,21 @@ def kronecker_layout(
     factors = [
         (s, m, k * sum(strides[j - 1] for j in indices_of(s))) for s, m in lcd.items()
     ]
-    factors.sort(key=lambda f: f[2])
+    factors.sort(key=lambda f: f[2], reverse=True)
     return factors, k * slots
 
 
-def kronecker_zero_test(
-    terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int
-) -> bool:
+def kronecker_zero_test(terms: Sequence[tuple[int, Mapping[int, int]]]) -> bool:
     """Exact zero test of the cleared numerator, packed into one integer.
 
-    `terms` are (integer coefficient, denominator factorization) pairs over
-    the same nvars-variable universe.  Each factor x^S - 1 acts on the
-    packed value v as (v << shift_S) - v, applied once per group of terms
-    that lack it and agree on every factor of larger shift (see
-    _packed_numerator).  Raises ZeroTestTooLarge, before any packing, when
-    the size estimate exceeds KRONECKER_BUDGET_BITS.
+    `terms` are (integer coefficient, denominator factorization) pairs.
+    Each factor x^S - 1 acts on the packed value v as (v << shift_S) - v,
+    applied once per group of terms that lack it and agree on every factor
+    of larger shift (see _packed_numerator).  Raises ZeroTestTooLarge,
+    before any packing, when the size estimate exceeds
+    KRONECKER_BUDGET_BITS.
     """
-    layout, estimate = kronecker_layout(terms, nvars)
+    layout, estimate = kronecker_layout(terms)
     if estimate > KRONECKER_BUDGET_BITS:
         raise ZeroTestTooLarge(estimate, KRONECKER_BUDGET_BITS)
     return _packed_numerator(terms, layout) == 0
@@ -135,50 +135,32 @@ def _packed_numerator(
     """The cleared numerator, sum_T c_T prod_S (x^S - 1)^e_T[S], packed.
 
     e_T[S] = lcd[S] - factors_T[S] is the term's exponent vector over the
-    layout's factors, largest shift first (level 0).  Terms sorted by that
-    vector are summed by Horner's rule: sums[l + 1] collects the terms that
-    agree with the previous one on levels 0..l, with the factors of levels
-    > l applied.  When the next term first differs at level l, levels
-    depth-1 down to l are closed: each partial sum is multiplied by its
-    factor as often as the previous term's exponent says and added one
-    level up.  So each multiply runs once per group of terms that agree on
-    every outer factor, and the large-shift multiplies run on group sums.
-    Descending order keeps fewer large partial sums open at once than
-    ascending order: on Hoffman n=5 the traced peak is 5.2 against 8.4
-    times estimate / 8 bytes.
+    layout's factors, largest shift first (level 0).  Horner's rule by
+    recursion on the vectors in descending order: a level groups its terms
+    by their exponent e there, sums each group over the deeper levels,
+    multiplies that sum by the level's factor e times and adds it to the
+    level's total.  So each multiply runs once per group of terms that agree
+    on every outer factor, and one partial per level is open at a time
+    (fewer large ones than in ascending order: 5.2 against 8.4 times
+    estimate / 8 bytes traced on Hoffman n=5).  The recursion is one frame
+    per LCD factor, 31 on Hoffman n=5, the largest input admitted.
     """
-    outer = layout[::-1]
-    depth = len(outer)
-    shifts = [shift for _, _, shift in outer]
-    rows = sorted(
-        (
-            (tuple(mult - factors.get(support, 0) for support, mult, _ in outer), coeff)
-            for coeff, factors in terms
-        ),
-        reverse=True,
-    )
-    sums = [0] * (depth + 1)
-    prev: tuple[int, ...] = rows[0][0] if rows else ()
+    rows = [(tuple(m - factors.get(s, 0) for s, m, _ in layout), c) for c, factors in terms]
 
-    def close(level: int) -> None:
-        for i in range(depth - 1, level - 1, -1):
-            v = sums[i + 1]
-            if v:
-                sums[i + 1] = 0
-                shift = shifts[i]
-                for _ in range(prev[i]):
-                    v = (v << shift) - v
-                sums[i] += v
+    def horner(rows: list, level: int) -> int:
+        if level == len(layout):
+            return sum(coeff for _, coeff in rows)
+        shift = layout[level][2]
+        total = 0
+        for e, group in groupby(rows, lambda row: row[0][level]):
+            v = horner(list(group), level + 1)
+            for _ in range(e):
+                v = (v << shift) - v
+            total += v
+            del v  # not held while the next group descends
+        return total
 
-    for vec, coeff in rows:
-        level = 0
-        while level < depth and vec[level] == prev[level]:
-            level += 1
-        close(level)
-        sums[depth] += coeff
-        prev = vec
-    close(0)
-    return sums[0]
+    return horner(sorted(rows, reverse=True), 0)
 
 
 # Miller-Rabin bases: the first twelve primes.  No composite below 3.18e23
@@ -260,20 +242,17 @@ def _inverses(supports: list[int], x: Sequence[int], p: int) -> dict[int, int] |
     return inverse
 
 
-def is_zero_combination(
-    terms: Sequence[tuple[int, Mapping[int, int]]], nvars: int, seed: int = 0
-) -> bool:
+def is_zero_combination(terms: Sequence[tuple[int, Mapping[int, int]]], seed: int = 0) -> bool:
     """Seeded modular vote: sum_T c_T prod_S (x^S - 1)^(-m_T[S]) == 0 mod p,
     with p and the point x from `modular_points(seed)`.
 
     `terms` are (integer coefficient, denominator factorization) pairs, as
-    for kronecker_zero_test; the point covers every index 1..63, so `nvars`
-    does not enter.  The value is N(x) / LCD(x) for the cleared numerator N,
-    so a nonzero value refutes exactly.  A zero is wrong only if p divides
-    every coefficient of N, or else with probability at most
-    deg(LCD) / (p - deg(LCD)) (Schwartz-Zippel, given LCD(x) != 0).  When
-    some factor vanishes at the point, the next point of the seed's stream
-    is taken; the vote never refuses.
+    for kronecker_zero_test; the point covers every index 1..63.  The value
+    is N(x) / LCD(x) for the cleared numerator N, so a nonzero value refutes
+    exactly.  A zero is wrong only if p divides every coefficient of N, or
+    else with probability at most deg(LCD) / (p - deg(LCD)) (Schwartz-Zippel,
+    given LCD(x) != 0).  When some factor vanishes at the point, the next
+    point of the seed's stream is taken; the vote never refuses.
     """
     points = modular_points(seed)
     p = points.p

@@ -142,7 +142,7 @@ def test_hoffman_rational_form():
     for n in (2, 3, 4):
         expr = hoffman_identity(n)
         terms = rational_terms_of_expression(expr.terms.items())
-        assert is_zero_combination(terms, n)
+        assert is_zero_combination(terms)
 
 
 # --- verify driver ---------------------------------------------------------
@@ -185,14 +185,14 @@ def test_verify_passes_its_seed_to_the_rational_vote(monkeypatch):
     # first argument.
     calls = []
 
-    def vote(terms, nvars, seed):
-        calls.append((terms, nvars, seed))
+    def vote(terms, seed):
+        calls.append((terms, seed))
         return True
 
     monkeypatch.setattr(mzvident.identities, "is_zero_combination", vote)
     expr = parse(EXAMPLE_TEXT)
     verify(expr, methods=["rational"], seed=12345)
-    assert calls == [(rational_terms_of_expression(expr.terms.items()), 3, 12345)]
+    assert calls == [(rational_terms_of_expression(expr.terms.items()), 12345)]
 
 
 def test_verify_perturbed_stuffle_identity():
