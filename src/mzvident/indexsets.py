@@ -13,6 +13,12 @@ from typing import Iterable
 
 MAX_INDEX = 63
 
+# Bounds of the per-process tables that the parser and the votes keep: one
+# entry per seed, or per (seed, universe), and one per block or support (2^12
+# hold every block over n <= 12 variables).
+SEED_TABLE_SIZE = 8
+BLOCK_TABLE_SIZE = 1 << 12
+
 
 def mask_of(indices: Iterable[int]) -> int:
     """Build a bitmask from an iterable of positive indices."""
@@ -27,12 +33,12 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=BLOCK_TABLE_SIZE)
 def indices_of(mask: int) -> tuple[int, ...]:
     """Members of a bitmask in ascending order.
 
     Cached, because sort keys and renderers ask for the same blocks many
-    times; 2^12 entries hold every block over n <= 12 variables.
+    times.
     """
     out = []
     i = 1

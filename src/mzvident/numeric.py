@@ -7,19 +7,24 @@ partition, so an expression's value is a degree-n polynomial in the weights
 with its canonical coefficients: a nonzero value refutes exactly, and a zero
 errs with probability at most n / 2^64 (Schwartz-Zippel).  There a
 full-depth atom's value is one product of two shared halves (meet in the
-middle, Horowitz and Sahni 1974).
+middle, Horowitz and Sahni 1974).  The weights depend only on the seed and
+the universe, so they are drawn once per process (at most SEED_TABLE_SIZE
+(seed, universe) pairs), and each block's weight row is built once (at most
+BLOCK_TABLE_SIZE rows); a vote reads them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import getitem, itemgetter, mul
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Block, Expression, ZetaAtom
-from .indexsets import indices_of
+from .indexsets import BLOCK_TABLE_SIZE, SEED_TABLE_SIZE, indices_of
 
 DEFAULT_TRUNCATION = 50
 
@@ -70,7 +75,7 @@ def eval_zeta_truncated(exponents: Sequence[float], n_trunc: int) -> float:
 
 
 def atom_values(
-    atoms: Iterable[ZetaAtom], block_row: Callable[[Block], list], n_trunc: int, total=math.fsum
+    atoms: Iterable[ZetaAtom], block_row: Callable[[Block], Sequence], n_trunc: int, total=math.fsum
 ) -> dict:
     """Truncated value of every distinct atom in one pass.
 
@@ -158,25 +163,36 @@ def residuals(values: Sequence[float]) -> tuple[float, float]:
     return total, total / magnitude
 
 
+@lru_cache(maxsize=SEED_TABLE_SIZE)
+def _columns(seed: int, universe: int) -> tuple[Mapping[int, int], ...]:
+    """The numeric vote's weights over `universe` (n variables): f_j(k) in
+    [1, 2^64), k = 1..n, drawn from random.Random(seed) variable by variable
+    in index order.  Entry i maps each one-variable block {j} to f_j(n - i)."""
+    rng, n = random.Random(seed), universe.bit_count()
+    weights = {1 << j - 1: [rng.randrange(1, 2**64) for _ in range(n)] for j in indices_of(universe)}
+    return tuple(MappingProxyType({b: w[n - 1 - i] for b, w in weights.items()}) for i in range(n))
+
+
+@lru_cache(maxsize=BLOCK_TABLE_SIZE)
+def _block_row(seed: int, universe: int, block: Block) -> tuple[int, ...]:
+    """(f_B(1), ..., f_B(n)) of `block` B, f_B(k) = prod_{j in B} f_j(k)."""
+    singletons = [1 << j - 1 for j in indices_of(block)]
+    columns = reversed(_columns(seed, universe))
+    return tuple(math.prod(map(column.__getitem__, singletons)) for column in columns)
+
+
 def residual_report(expr: Expression, seed: int) -> int:
-    """Exact value of `expr` truncated at N = n + 1, at integer weights f_j(k)
-    in [1, 2^64), k = 1..n, drawn from `seed` variable by variable in index
-    order; zero for every identity.  At this N alone a full-depth atom
-    zeta(a_0, ..., a_{n-1}) has one index tuple, k_i = n - i, so its value
-    is one product; each distinct half before and after block n // 2 is
-    multiplied out once.  Other atoms go through `atom_values`."""
-    rng, n = random.Random(seed), expr.universe.bit_count()
-    weights = {j: [rng.randrange(1, 2**64) for _ in range(n)] for j in indices_of(expr.universe)}
+    """Exact value of `expr` truncated at N = n + 1, at the integer weights
+    of `_columns(seed, expr.universe)`; zero for every identity.  At this N
+    alone a full-depth atom zeta(a_0, ..., a_{n-1}) has one index tuple,
+    k_i = n - i, so its value is one product; each distinct half before and
+    after block n // 2 is multiplied out once.  Other atoms go through
+    `atom_values`, with each block's row from `_block_row`."""
+    n, columns = expr.universe.bit_count(), _columns(seed, expr.universe)
     full = {term[0]: coeff for term, coeff in expr.terms.items() if len(term[0]) == n}
     rest = [(term, coeff) for term, coeff in expr.terms.items() if len(term[0]) < n]
-    values = atom_values(
-        (atom for term, _ in rest for atom in term),
-        lambda block: list(map(math.prod, zip(*map(weights.get, indices_of(block))))),
-        n + 1,
-        total=sum,
-    )
-    # columns[i]: one-variable block -> its weight at k = n - i.
-    columns = [{1 << j - 1: w[n - 1 - i] for j, w in weights.items()} for i in range(n)]
+    block_row = partial(_block_row, seed, expr.universe)
+    values = atom_values((atom for term, _ in rest for atom in term), block_row, n + 1, total=sum)
     first, second = itemgetter(slice(n // 2)), itemgetter(slice(n // 2, None))
     heads = {half: math.prod(map(getitem, columns, half)) for half in set(map(first, full))}
     tails = {half: math.prod(map(getitem, columns[n // 2 :], half)) for half in set(map(second, full))}

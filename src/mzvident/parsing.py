@@ -34,7 +34,7 @@ from .algebra import (
     validate_legal_term,
 )
 from .identities import METHODS, IdentityReport
-from .indexsets import MAX_INDEX, full_universe, indices_of, mask_of
+from .indexsets import BLOCK_TABLE_SIZE, MAX_INDEX, full_universe, indices_of, mask_of
 from .partitions import partition_order
 
 
@@ -175,13 +175,21 @@ _GLUE_RE = re.compile(r" (?<=[^\s+\-*(),] )(?=[^\s+\-*(),])")
 
 
 class _BlockMasks(dict):
-    """Block text -> mask, checked and converted on first lookup, else ValueError."""
+    """Block text -> mask, checked and converted on first lookup, else
+    ValueError and nothing stored; emptied when it holds BLOCK_TABLE_SIZE."""
 
     def __missing__(self, block: str) -> int:
         if not _ARG_RE.fullmatch(block):
             raise ValueError(block)
-        mask = self[block] = mask_of(int(var[1:]) for var in block.split("+"))
+        mask = mask_of(int(var[1:]) for var in block.split("+"))
+        if len(self) >= BLOCK_TABLE_SIZE:
+            self.clear()
+        self[block] = mask
         return mask
+
+
+# One table for every parse: a block's text is converted once per process.
+_BLOCK_MASKS = _BlockMasks()
 
 
 def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict]]:
@@ -195,17 +203,17 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     term's blocks add without a carry, one bit per variable, iff disjoint,
     so their sum must have a bit per `s` and equal the universe.  A product
     term sums its factors, each argument list read once; a block text
-    becomes its mask once.
+    becomes its mask once per process (`_BLOCK_MASKS`).
     """
     text = " ".join(text.split())
     if _GLUE_RE.search(text):
         return None
     text = text.replace(" ", "")
-    masks = _BlockMasks()
+    mask = _BLOCK_MASKS.__getitem__
 
     @lru_cache(maxsize=None)
     def factor(arglist: str) -> tuple[int, ZetaAtom, int]:  # (lowest bit, atom, blocks' sum)
-        atom = tuple(map(masks.__getitem__, arglist.split(",")))
+        atom = tuple(map(mask, arglist.split(",")))
         support = sum(atom)
         return support & -support, atom, support
 
@@ -226,7 +234,7 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
                 # Disjoint atoms' lowest bits order them by smallest index.
                 key = tuple([atom for _, atom, _ in sorted(atoms)])
             else:
-                atom = tuple(map(masks.__getitem__, body[5:-1].split(",")))
+                atom = tuple(map(mask, body[5:-1].split(",")))
                 support, key = sum(atom), (atom,)
             universe = universe or support  # the first term's, unless declared
             if support != universe or support.bit_count() != body.count("s"):

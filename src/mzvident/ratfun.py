@@ -8,7 +8,11 @@ clearing the least common denominator, the numerator polynomial is zero.
 `is_zero_combination`, the vote `verify` takes, evaluates the combination
 modulo a seeded random prime p at a seeded random point: a Schwartz-Zippel
 test (J. T. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979) that costs
-one pass over the terms at every size.
+one pass over the terms at every size.  Nothing of the point depends on the
+expression: the prime, the points and each factor's inverse at a point are
+derived once per process and seed (`modular_points`, at most SEED_TABLE_SIZE
+seeds, each point's inverses at most BLOCK_TABLE_SIZE supports), and a vote
+reads them.
 
 `kronecker_zero_test`, the exact test, packs the numerator into a single
 integer by Kronecker substitution (D. Harvey, "Faster polynomial
@@ -27,10 +31,11 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LegalTerm
-from .indexsets import MAX_INDEX, indices_of
+from .indexsets import BLOCK_TABLE_SIZE, MAX_INDEX, SEED_TABLE_SIZE, indices_of
 
 # A rational term is a product of denominator factors: support mask -> power.
 RationalTermRep = Counter
@@ -203,6 +208,7 @@ class ModularPoints:
     MODULUS_BITS bits, then point 0, 1, ..., each (x_1, ..., x_63) uniform
     mod p and drawn on first use.  Point i is the same whichever vote draws
     it first, so one cached object serves every vote of the seed.
+    `inverses[i]` is point i's memo of factor inverses (see `_inverses`).
     """
 
     def __init__(self, seed: int):
@@ -212,34 +218,41 @@ class ModularPoints:
             p = self._rng.randrange(1 << (MODULUS_BITS - 1), 1 << MODULUS_BITS)
         self.p = p
         self.points: list[tuple[int, ...]] = []
+        self.inverses: list[dict[int, int]] = []
 
     def point(self, i: int) -> tuple[int, ...]:
         while len(self.points) <= i:
             self.points.append(tuple(self._rng.randrange(self.p) for _ in range(MAX_INDEX)))
+            self.inverses.append({})
         return self.points[i]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=SEED_TABLE_SIZE)
 def modular_points(seed: int) -> ModularPoints:
     """The prime search (under 1 ms) runs once per seed, not once per vote."""
     return ModularPoints(seed)
 
 
-def _inverses(supports: list[int], x: Sequence[int], p: int) -> dict[int, int] | None:
-    """(prod_{j in S} x_j - 1)^-1 mod p for each support S, with one modular
-    inversion for all of them (batch inversion); None when a factor is 0."""
-    values = [(math.prod(x[j - 1] for j in indices_of(s)) - 1) % p for s in supports]
-    prefix = [1]
-    for v in values:
-        prefix.append(prefix[-1] * v % p)
-    if not prefix[-1]:
-        return None
-    acc = pow(prefix[-1], -1, p)  # the inverse of prefix[i + 1] in step i
-    inverse = {}
-    for i in range(len(values) - 1, -1, -1):
-        inverse[supports[i]] = acc * prefix[i] % p
-        acc = acc * values[i] % p
-    return inverse
+def _inverses(points: ModularPoints, i: int, supports: set[int]) -> Mapping[int, int] | None:
+    """A read-only view of point i's memo, holding (prod_{j in S} x_j - 1)^-1
+    mod p for each support S, or 0 where that factor is 0 (no inverse is);
+    None when a factor of `supports` is 0.
+
+    A support's inverse is computed once per point and process.  The memo
+    holds at most BLOCK_TABLE_SIZE supports and is emptied when the next
+    vote's new ones would not fit; a vote with more supports than that gets
+    a table of its own.
+    """
+    x, p = points.point(i), points.p
+    memo = points.inverses[i] if len(supports) <= BLOCK_TABLE_SIZE else {}
+    new = supports - memo.keys()
+    if len(memo) + len(new) > BLOCK_TABLE_SIZE:
+        memo.clear()
+        new = supports
+    for s in new:
+        v = (math.prod(x[j - 1] for j in indices_of(s)) - 1) % p
+        memo[s] = pow(v, -1, p) if v else 0
+    return MappingProxyType(memo) if all(map(memo.__getitem__, supports)) else None
 
 
 def is_zero_combination(terms: Sequence[tuple[int, Mapping[int, int]]], seed: int = 0) -> bool:
@@ -256,9 +269,9 @@ def is_zero_combination(terms: Sequence[tuple[int, Mapping[int, int]]], seed: in
     """
     points = modular_points(seed)
     p = points.p
-    supports = list({s for _, factors in terms for s in factors})
+    supports = {s for _, factors in terms for s in factors}
     attempt = 0
-    while (inverse := _inverses(supports, points.point(attempt), p)) is None:
+    while (inverse := _inverses(points, attempt, supports)) is None:
         attempt += 1
     total = 0
     for coeff, factors in terms:

@@ -40,20 +40,26 @@ def test_every_traced_target_resolves(tracer):
 
 
 def test_verify_records_algebra_ratfun_and_numeric_spans(tracer):
+    # The second op runs with the votes' per-process tables warm: a table
+    # read must still pass through the wrapped layers.
+    expr = identities.hoffman_identity(3)
     with tracer.Tracer() as t:
-        report = identities.verify(identities.hoffman_identity(3), identities.METHODS)
-    assert report.is_identity and report.agreement
-    names = t.account(0, Counter())
-    tracer.require_spans(
-        names,
-        {
-            "algebra.is_partition_identity",
-            "algebra.normalize",
-            "ratfun.build",
-            "ratfun.zero_test",
-            "numeric.residual",
-        },
-    )
+        for op in range(2):
+            t.op, first = op, len(t.spans)
+            report = identities.verify(expr, identities.METHODS)
+            assert report.is_identity and report.agreement
+            names = t.account(first, Counter())
+            tracer.require_spans(
+                names,
+                {
+                    "algebra.is_partition_identity",
+                    "algebra.normalize",
+                    "ratfun.build",
+                    "ratfun.zero_test",
+                    "numeric.residual",
+                },
+            )
+    assert {s.op for s in t.spans if s.name == "ratfun.zero_test"} == {0, 1}
 
 
 def test_hoffman_seed_61_op_votes_agree():

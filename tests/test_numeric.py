@@ -448,3 +448,22 @@ def test_full_depth_terms_vote_exactly():
     for expr in cases:
         for seed in range(10):
             assert residual_report(expr, seed) == brute_exact(expr, seed), (expr.universe, seed)
+
+
+def test_vote_does_not_depend_on_call_history():
+    # More (seed, universe) pairs than the weight table keeps, gapped
+    # universes and the same n over different variables, in two interleaved
+    # orders: every value must equal the oracle whatever ran before it.
+    rng = random.Random(67)
+    universes = [full_universe(n) for n in range(1, 7)] + [blk(2, 5, 7), blk(1, 3, 4, 6), blk(4, 5, 6)]
+    cases = [
+        (seed, random_expression(universe, rng, max_terms=5))
+        for seed in range(2)
+        for universe in universes
+    ]
+    exact = [brute_exact(expr, seed) for seed, expr in cases]
+    order = list(range(len(cases)))
+    for order in (order[::2] + order[1::2], order[::-1]):
+        for i in order:
+            seed, expr = cases[i]
+            assert residual_report(expr, seed) == exact[i], (seed, expr.universe)

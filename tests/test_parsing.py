@@ -17,11 +17,12 @@ from mzvident.algebra import (
     term_order,
 )
 from mzvident.identities import IdentityReport, hoffman_identity, random_expression, verify
-from mzvident.indexsets import full_universe, indices_of, mask_of
+from mzvident.indexsets import BLOCK_TABLE_SIZE, full_universe, indices_of, mask_of, min_index
 from mzvident.parsing import (
     ParseError,
     _Parser,
     _scan,
+    block_text,
     expression_text,
     parse,
     parse_arglist,
@@ -333,6 +334,28 @@ def test_long_whitespace_scanned_in_linear_time():
             parse(head + spaces + "x")
     assert parse(spaces + "zeta(s1)" + spaces + "-" + spaces + "zeta(s1)" + spaces).is_zero()
     assert time.perf_counter() - start < 2
+
+
+def test_block_table_is_shared_and_bounded():
+    table = mzvident.parsing._BLOCK_MASKS
+    for text, message in (
+        ("zeta(s0)", "variable index must be >= 1 (at position 5)"),
+        ("zeta(s1+s1)", "duplicate index 1 (at position 8)"),
+        ("zeta(s64)", "index 64 out of range 1..63 (at position 5)"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert text[5:-1] not in table
+    assert parse("zeta(s2,s1)") == Expression(blk(1, 2), {((blk(2), blk(1)),): 1})
+    assert table.get("s2") == blk(2)  # kept for later parses
+    # Two-atom products over 13 variables: 8,190 distinct blocks.
+    universe = full_universe(13)
+    for block in range(1, universe):
+        text = f"zeta({block_text(block)})*zeta({block_text(universe ^ block)})"
+        atoms = sorted([(block,), (universe ^ block,)], key=lambda atom: min_index(atom[0]))
+        assert parse(text) == Expression(universe, {tuple(atoms): 1})
+        assert len(table) <= BLOCK_TABLE_SIZE
 
 
 def test_parse_declared_universe_must_cover():

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mzvident.algebra import Expression, is_partition_identity
 from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
-from mzvident.indexsets import full_universe, indices_of, mask_of
+from mzvident.indexsets import BLOCK_TABLE_SIZE, full_universe, indices_of, mask_of
 from mzvident.parsing import parse
 from mzvident.partitions import ordered_set_partitions
 import mzvident.ratfun
@@ -358,10 +359,57 @@ def test_vote_redraws_when_a_factor_vanishes(monkeypatch):
     points = ModularPoints(47)
     x = points.point(0)
     points.points[0] = (x[0], 1, *x[2:])  # x_2 = 1, so the factor x_2 - 1 is 0
-    assert _inverses([blk(2)], points.points[0], points.p) is None
+    assert _inverses(points, 0, {blk(2)}) is None
+    assert points.inverses[0] == {blk(2): 0}  # remembered as vanishing
     monkeypatch.setattr(mzvident.ratfun, "modular_points", lambda seed: points)
     assert is_zero_combination(SEVEN_TERM)
     assert len(points.points) == 2  # one redraw
     assert points.points[1] == ModularPoints(47).point(1)  # the stream's next point
+    # Point 1 holds its own inverse of x_2 - 1; point 0's zero stays there.
+    assert points.inverses[1][blk(2)] == pow(points.points[1][1] - 1, -1, points.p)
+    assert points.inverses[0][blk(2)] == 0
     assert not is_zero_combination(SEVEN_TERM + [(1, Counter({blk(2): 1}))])
     assert len(points.points) == 2
+
+
+def test_inverse_memo_is_bounded():
+    points = ModularPoints(53)
+    x, p = points.point(0), points.p
+
+    def expected(supports):
+        return {s: pow(math.prod(x[j - 1] for j in indices_of(s)) - 1, -1, p) for s in supports}
+
+    for supports in (range(1, 3001), range(2001, 5001), range(1, 3001)):
+        memo = _inverses(points, 0, set(supports))
+        assert {s: memo[s] for s in supports} == expected(supports)
+        assert len(points.inverses[0]) <= BLOCK_TABLE_SIZE
+    kept = dict(points.inverses[0])
+    # More supports than the bound: the vote's own table, the memo untouched.
+    big = set(range(1, BLOCK_TABLE_SIZE + 2))
+    memo = _inverses(points, 0, big)
+    assert memo == expected(big)
+    assert points.inverses[0] == kept
+
+
+def test_votes_do_not_depend_on_call_history():
+    # More (seed, universe) pairs than modular_points keeps, with the same n
+    # over different variables, in two interleaved orders: every vote must
+    # equal the exact test whatever ran before it.
+    rng = random.Random(59)
+    universes = [full_universe(n) for n in range(1, 6)] + [blk(2, 5, 7), blk(1, 3, 4, 6), blk(4, 5, 6)]
+    cases = []
+    for seed in range(12):
+        universe = universes[seed % len(universes)]
+        n = universe.bit_count()
+        indices = indices_of(universe)
+        cut = rng.randrange(n + 1)
+        identity = stuffle_identity(tuple(map(blk, indices[:cut])), tuple(map(blk, indices[cut:])))
+        perturbed = identity + random_expression(universe, rng, max_terms=2)
+        cases += [(seed, rats_of(e)) for e in (identity.scale(rng.randint(1, 9)), perturbed)]
+    exact = [kronecker_zero_test(terms) for _, terms in cases]
+    assert True in exact and False in exact
+    order = list(range(len(cases)))
+    for order in (order[::2] + order[1::2], order[::-1]):
+        for i in order:
+            seed, terms = cases[i]
+            assert is_zero_combination(terms, seed) == exact[i], i
