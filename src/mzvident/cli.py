@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 = identity (or plain success for non-verify commands),
-1 = not an identity, 2 = any error.
+1 = not an identity, 2 = any error, an internal fault included.
 """
 
 from __future__ import annotations
@@ -208,6 +208,12 @@ def cli_main(argv=None) -> int:
         return args.func(args)
     except (CliError, ParseError, LegalityError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,8 @@ MAX_INDEX = 63
 
 # Bounds of the per-process tables that the parser and the votes keep: one
 # entry per seed, or per (seed, universe), and one per block or support (2^12
-# hold every block over n <= 12 variables).
+# hold every block over n <= 12 variables); the modular vote's factor
+# inverses, one per (seed, point, support), hold the product of the two.
 SEED_TABLE_SIZE = 8
 BLOCK_TABLE_SIZE = 1 << 12
 

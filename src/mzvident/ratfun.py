@@ -9,10 +9,10 @@ clearing the least common denominator, the numerator polynomial is zero.
 modulo a seeded random prime p at a seeded random point: a Schwartz-Zippel
 test (J. T. Schwartz, J. ACM 27, 1980; R. Zippel, EUROSAM 1979) that costs
 one pass over the terms at every size.  Nothing of the point depends on the
-expression: the prime, the points and each factor's inverse at a point are
-derived once per process and seed (`modular_points`, at most SEED_TABLE_SIZE
-seeds, each point's inverses at most BLOCK_TABLE_SIZE supports), and a vote
-reads them.
+expression: the prime and the points are drawn once per process and seed
+(`modular_points`, at most SEED_TABLE_SIZE seeds), each factor's inverse at a
+point is computed once (`_inverse`, SEED_TABLE_SIZE * BLOCK_TABLE_SIZE
+entries), and a vote reads them.
 
 `kronecker_zero_test`, the exact test, packs the numerator into a single
 integer by Kronecker substitution (D. Harvey, "Faster polynomial
@@ -31,7 +31,6 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LegalTerm
@@ -176,6 +175,12 @@ PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # The vote's prime lies in [2^(MODULUS_BITS-1), 2^MODULUS_BITS).
 MODULUS_BITS = 61
 
+# Points a vote tries before it gives up.  A point is skipped only where a
+# factor vanishes, which a random point does with probability at most
+# deg(LCD) / p, so reaching the cap means the point stream is broken, not
+# unlucky.
+MAX_POINTS = 32
+
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin test on PRIME_BASES (G. L. Miller, J. Comput. Syst. Sci.
@@ -208,7 +213,6 @@ class ModularPoints:
     MODULUS_BITS bits, then point 0, 1, ..., each (x_1, ..., x_63) uniform
     mod p and drawn on first use.  Point i is the same whichever vote draws
     it first, so one cached object serves every vote of the seed.
-    `inverses[i]` is point i's memo of factor inverses (see `_inverses`).
     """
 
     def __init__(self, seed: int):
@@ -218,12 +222,10 @@ class ModularPoints:
             p = self._rng.randrange(1 << (MODULUS_BITS - 1), 1 << MODULUS_BITS)
         self.p = p
         self.points: list[tuple[int, ...]] = []
-        self.inverses: list[dict[int, int]] = []
 
     def point(self, i: int) -> tuple[int, ...]:
         while len(self.points) <= i:
             self.points.append(tuple(self._rng.randrange(self.p) for _ in range(MAX_INDEX)))
-            self.inverses.append({})
         return self.points[i]
 
 
@@ -233,26 +235,14 @@ def modular_points(seed: int) -> ModularPoints:
     return ModularPoints(seed)
 
 
-def _inverses(points: ModularPoints, i: int, supports: set[int]) -> Mapping[int, int] | None:
-    """A read-only view of point i's memo, holding (prod_{j in S} x_j - 1)^-1
-    mod p for each support S, or 0 where that factor is 0 (no inverse is);
-    None when a factor of `supports` is 0.
-
-    A support's inverse is computed once per point and process.  The memo
-    holds at most BLOCK_TABLE_SIZE supports and is emptied when the next
-    vote's new ones would not fit; a vote with more supports than that gets
-    a table of its own.
-    """
+@lru_cache(maxsize=SEED_TABLE_SIZE * BLOCK_TABLE_SIZE)
+def _inverse(seed: int, i: int, support: int) -> int:
+    """(prod_{j in S} x_j - 1)^-1 mod p at point i of `modular_points(seed)`,
+    or 0 where that factor is 0 (no inverse is)."""
+    points = modular_points(seed)
     x, p = points.point(i), points.p
-    memo = points.inverses[i] if len(supports) <= BLOCK_TABLE_SIZE else {}
-    new = supports - memo.keys()
-    if len(memo) + len(new) > BLOCK_TABLE_SIZE:
-        memo.clear()
-        new = supports
-    for s in new:
-        v = (math.prod(x[j - 1] for j in indices_of(s)) - 1) % p
-        memo[s] = pow(v, -1, p) if v else 0
-    return MappingProxyType(memo) if all(map(memo.__getitem__, supports)) else None
+    v = (math.prod(x[j - 1] for j in indices_of(support)) - 1) % p
+    return pow(v, -1, p) if v else 0
 
 
 def is_zero_combination(terms: Sequence[tuple[int, Mapping[int, int]]], seed: int = 0) -> bool:
@@ -265,20 +255,21 @@ def is_zero_combination(terms: Sequence[tuple[int, Mapping[int, int]]], seed: in
     exactly.  A zero is wrong only if p divides every coefficient of N, or
     else with probability at most deg(LCD) / (p - deg(LCD)) (Schwartz-Zippel,
     given LCD(x) != 0).  When some factor vanishes at the point, the next
-    point of the seed's stream is taken; the vote never refuses.
+    point of the seed's stream is taken; RuntimeError past MAX_POINTS points.
     """
-    points = modular_points(seed)
-    p = points.p
     supports = {s for _, factors in terms for s in factors}
-    attempt = 0
-    while (inverse := _inverses(points, attempt, supports)) is None:
-        attempt += 1
+    for i in range(MAX_POINTS):
+        inverse = {s: _inverse(seed, i, s) for s in supports}
+        if all(inverse.values()):
+            break
+    else:
+        raise RuntimeError(f"modular vote: a factor vanishes at all {MAX_POINTS} points of seed {seed}")
     total = 0
     for coeff, factors in terms:
         for support, mult in factors.items():
             coeff *= inverse[support] ** mult
         total += coeff
-    return total % p == 0
+    return total % modular_points(seed).p == 0
 
 
 def rational_terms_of_expression(

@@ -1,5 +1,6 @@
 import json
 
+import mzvident.identities
 import mzvident.numeric
 from mzvident.cli import cli_main
 from mzvident.identities import hoffman_identity
@@ -34,6 +35,20 @@ def test_verify_syntax_error_exit_two(capsys):
     code, _, err = run(capsys, "verify", "zeta(s1")
     assert code == 2
     assert "error" in err
+
+
+def test_internal_fault_exit_two(capsys, monkeypatch):
+    # Exit 1 means "not an identity", so a fault inside a route must not
+    # escape as the interpreter's exit 1: it is reported and exits 2.
+    def broken(expr, seed):
+        raise RuntimeError("route failed")
+
+    monkeypatch.setattr(mzvident.identities, "residual_report", broken)
+    code, out, err = run(capsys, "verify", EXAMPLE_TEXT)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" in err
+    assert err.rstrip().endswith("error: internal error: RuntimeError: route failed")
 
 
 def test_non_ascii_digits_rejected(capsys):

@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 
 from mzvident.algebra import Expression, is_partition_identity
 from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
-from mzvident.indexsets import BLOCK_TABLE_SIZE, full_universe, indices_of, mask_of
+from mzvident.cli import cli_main
+from mzvident.indexsets import BLOCK_TABLE_SIZE, SEED_TABLE_SIZE, full_universe, indices_of, mask_of
 from mzvident.parsing import parse
 from mzvident.partitions import ordered_set_partitions
 import mzvident.ratfun
 from mzvident.ratfun import (
     KRONECKER_BUDGET_BITS,
+    MAX_POINTS,
     MODULUS_BITS,
     ModularPoints,
     ZeroTestTooLarge,
-    _inverses,
+    _inverse,
     _packed_numerator,
     is_prime,
     is_zero_combination,
@@ -355,40 +357,63 @@ def test_vote_past_the_exact_budget(n):
     assert not is_zero_combination(rats_of(expr + Expression(expr.universe, {term: 1})))
 
 
-def test_vote_redraws_when_a_factor_vanishes(monkeypatch):
+@pytest.fixture
+def fresh_inverses():
+    _inverse.cache_clear()
+    yield
+    _inverse.cache_clear()
+
+
+def test_vote_redraws_when_a_factor_vanishes(monkeypatch, fresh_inverses):
     points = ModularPoints(47)
     x = points.point(0)
     points.points[0] = (x[0], 1, *x[2:])  # x_2 = 1, so the factor x_2 - 1 is 0
-    assert _inverses(points, 0, {blk(2)}) is None
-    assert points.inverses[0] == {blk(2): 0}  # remembered as vanishing
     monkeypatch.setattr(mzvident.ratfun, "modular_points", lambda seed: points)
-    assert is_zero_combination(SEVEN_TERM)
+    assert _inverse(47, 0, blk(2)) == 0  # read as vanishing
+    assert is_zero_combination(SEVEN_TERM, 47)
     assert len(points.points) == 2  # one redraw
     assert points.points[1] == ModularPoints(47).point(1)  # the stream's next point
-    # Point 1 holds its own inverse of x_2 - 1; point 0's zero stays there.
-    assert points.inverses[1][blk(2)] == pow(points.points[1][1] - 1, -1, points.p)
-    assert points.inverses[0][blk(2)] == 0
-    assert not is_zero_combination(SEVEN_TERM + [(1, Counter({blk(2): 1}))])
+    # Point 1 has its own inverse of x_2 - 1; point 0's zero stays there.
+    assert _inverse(47, 1, blk(2)) == pow(points.points[1][1] - 1, -1, points.p)
+    assert _inverse(47, 0, blk(2)) == 0
+    assert not is_zero_combination(SEVEN_TERM + [(1, Counter({blk(2): 1}))], 47)
     assert len(points.points) == 2
 
 
-def test_inverse_memo_is_bounded():
-    points = ModularPoints(53)
+def test_inverse_memo_is_bounded(fresh_inverses):
+    assert _inverse.cache_info().maxsize == SEED_TABLE_SIZE * BLOCK_TABLE_SIZE
+    points = modular_points(53)
     x, p = points.point(0), points.p
 
-    def expected(supports):
-        return {s: pow(math.prod(x[j - 1] for j in indices_of(s)) - 1, -1, p) for s in supports}
+    def expected(s):
+        return pow(math.prod(x[j - 1] for j in indices_of(s)) - 1, -1, p)
 
     for supports in (range(1, 3001), range(2001, 5001), range(1, 3001)):
-        memo = _inverses(points, 0, set(supports))
-        assert {s: memo[s] for s in supports} == expected(supports)
-        assert len(points.inverses[0]) <= BLOCK_TABLE_SIZE
-    kept = dict(points.inverses[0])
-    # More supports than the bound: the vote's own table, the memo untouched.
-    big = set(range(1, BLOCK_TABLE_SIZE + 2))
-    memo = _inverses(points, 0, big)
-    assert memo == expected(big)
-    assert points.inverses[0] == kept
+        assert all(_inverse(53, 0, s) == expected(s) for s in supports)
+    # A vote with more supports than one seed's share still gets exact inverses.
+    terms = [(1, Counter({s: 1})) for s in range(1, BLOCK_TABLE_SIZE + 2)]
+    value = sum(map(expected, range(1, BLOCK_TABLE_SIZE + 2))) % p
+    assert is_zero_combination(terms + [(-value, Counter())], 53)
+    assert not is_zero_combination(terms + [(1 - value, Counter())], 53)
+
+
+def test_vote_gives_up_after_max_points(monkeypatch, capsys, fresh_inverses):
+    # A broken point stream: x_1 = 1 at every point, so x_1 - 1 always
+    # vanishes, and so does the first factor of zeta(s1,s2).
+    class Stuck(ModularPoints):
+        def point(self, i):
+            return (1, *super().point(i)[1:])
+
+    stuck = Stuck(61)
+    monkeypatch.setattr(mzvident.ratfun, "modular_points", lambda seed: stuck)
+    with pytest.raises(RuntimeError, match=f"all {MAX_POINTS} points of seed 61"):
+        is_zero_combination([(1, Counter({blk(1): 1}))], 61)
+    assert len(stuck.points) == MAX_POINTS
+    monkeypatch.delenv("MZV_SEED", raising=False)
+    assert cli_main(["verify", "zeta(s1,s2)"]) == 2
+    err = capsys.readouterr().err
+    assert "error: internal error: RuntimeError" in err
+    assert f"all {MAX_POINTS} points of seed 0" in err
 
 
 def test_votes_do_not_depend_on_call_history():
