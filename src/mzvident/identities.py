@@ -121,6 +121,8 @@ def verify(
     from `seed`, and each votes identity iff its value is 0.
     Methods run in METHODS order whatever the order requested.
     """
+    if isinstance(methods, str):  # a str would iterate into one-letter names
+        raise TypeError(f"methods must be an iterable of method names, not the string {methods!r}")
     methods = tuple(methods)  # validated once, then tested for membership
     for m in methods:
         if m not in METHODS:

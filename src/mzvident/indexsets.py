@@ -16,9 +16,12 @@ MAX_INDEX = 63
 # Bounds of the per-process tables that the parser and the votes keep: one
 # entry per seed, or per (seed, universe), and one per block or support (2^12
 # hold every block over n <= 12 variables); the modular vote's factor
-# inverses, one per (seed, point, support), hold the product of the two.
+# inverses, one per (seed, point, support), hold the product of the two.  The
+# parser's term table holds one entry per distinct term text: 2^13 hold the
+# Hoffman identities for n = 5, 6 and 7 together (7,012 terms).
 SEED_TABLE_SIZE = 8
 BLOCK_TABLE_SIZE = 1 << 12
+TERM_TABLE_SIZE = 1 << 13
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -218,6 +218,15 @@ def test_verify_requires_a_method():
     assert str(info.value) == "no method requested; choose from canonical, rational, numeric"
 
 
+def test_verify_refuses_a_bare_string_of_methods():
+    # Iterated, "numeric" would be the names 'n', 'u', ...: name the string.
+    for methods in ("numeric", "canonical,numeric"):
+        with pytest.raises(TypeError) as info:
+            verify(parse("zeta(s1)"), methods)
+        assert str(info.value) == (
+            f"methods must be an iterable of method names, not the string {methods!r}")
+
+
 def test_verify_accepts_a_one_pass_iterable():
     report = verify(parse("zeta(s1)*zeta(s2) - zeta(s1,s2)"), iter(["numeric", "canonical"]))
     assert report.per_method == {"canonical": False, "numeric": False}

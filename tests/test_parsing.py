@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -17,10 +18,19 @@ from mzvident.algebra import (
     term_order,
 )
 from mzvident.identities import IdentityReport, hoffman_identity, random_expression, verify
-from mzvident.indexsets import BLOCK_TABLE_SIZE, full_universe, indices_of, mask_of, min_index
+from mzvident.indexsets import (
+    BLOCK_TABLE_SIZE,
+    TERM_TABLE_SIZE,
+    full_universe,
+    indices_of,
+    mask_of,
+    min_index,
+)
 from mzvident.parsing import (
     ParseError,
     _Parser,
+    _TERM_KEYS,
+    _TERM_RE,
     _scan,
     block_text,
     expression_text,
@@ -286,16 +296,22 @@ def test_whitespace_never_joins_tokens():
         assert parse(text) == want, repr(space)
 
 
-# The scan sums each term's (key, coefficient) pair as it is matched: it
-# peaks at 1,301,589 traced bytes on the text below (Python 3.11.7), and at
-# 1,590,281 if it first collects the pairs in a list.
+# The scan sums each term's (key, coefficient) pair as it is matched.  On the
+# text below (Python 3.11.7) a parse whose terms are all in the term table
+# peaks at 776,390 traced bytes (1,301,589 with no table; 1,590,281 if it
+# also collected the pairs in a list).  With the table empty a parse peaks at
+# 2,118,664-2,121,744 bytes and leaves 1,525,882-1,528,962 in the table's
+# 5,917 entries.
 H7_PARSE_PEAK_BYTES = 1_400_000
+H7_COLD_PARSE_PEAK_BYTES = 2_300_000
+H7_TERM_TABLE_BYTES = 1_700_000
 
 
 def test_parse_peak_memory_of_scaled_hoffman_7():
     expr = hoffman_identity(7).scale(37)
     text = serialize(expr)
-    assert parse(text) == expr  # a first call, so nothing lazily built counts
+    _TERM_KEYS.clear()
+    assert parse(text) == expr  # a first call fills the tables: the next is warm
     tracemalloc.start()
     try:
         parse(text)
@@ -303,6 +319,24 @@ def test_parse_peak_memory_of_scaled_hoffman_7():
     finally:
         tracemalloc.stop()
     assert peak <= H7_PARSE_PEAK_BYTES
+
+
+def test_cold_parse_memory_of_scaled_hoffman_7():
+    expr = hoffman_identity(7).scale(37)
+    text = serialize(expr)
+    assert parse(text) == expr  # a first call, so nothing lazily built counts
+    _TERM_KEYS.clear()
+    tracemalloc.start()
+    try:
+        parsed = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+        del parsed
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(_TERM_KEYS) == len(expr.terms)
+    assert peak <= H7_COLD_PARSE_PEAK_BYTES
+    assert retained <= H7_TERM_TABLE_BYTES
 
 
 def test_valid_text_never_reaches_token_parser(monkeypatch):
@@ -356,6 +390,91 @@ def test_block_table_is_shared_and_bounded():
         atoms = sorted([(block,), (universe ^ block,)], key=lambda atom: min_index(atom[0]))
         assert parse(text) == Expression(universe, {tuple(atoms): 1})
         assert len(table) <= BLOCK_TABLE_SIZE
+
+
+def _parsed(text, declared):
+    """`slow_parse`'s (universe, terms) from `parse`, None on a ParseError."""
+    try:
+        expr = parse(text, declared and declared.bit_length())
+    except ParseError:
+        return None
+    return expr.universe, expr.terms
+
+
+@given(token_soup())
+@example("zeta(s1,s2) + zeta(s1,s2,s3)")
+@example("zeta(s1)*zeta(s2) - zeta(s2,s1) - zeta(s1,s2) - zeta(s1+s2)")
+@settings(max_examples=150, deadline=None)
+def test_term_table_changes_no_parse(text):
+    # Each text parses as the token parser reads it with the term table
+    # empty, and again once its factor texts were met alone and under other
+    # declared universes.
+    bodies = [term.group(3) for term in _TERM_RE.finditer("".join(text.split()))]
+    for declared in (None, full_universe(3)):
+        want = slow_parse(text, declared)
+        _TERM_KEYS.clear()
+        assert _parsed(text, declared) == want, text
+        for other in [None, *map(full_universe, (1, 2, 4, 5))]:
+            _parsed(text, other)
+        for body in bodies:
+            _parsed(body, None)
+        assert _parsed(text, declared) == want, text
+
+
+def test_term_table_examples():
+    _TERM_KEYS.clear()
+    assert parse("zeta(s1,s2) - zeta(s2,s1)") == Expression(
+        blk(1, 2), {((blk(1), blk(2)),): 1, ((blk(2), blk(1)),): -1})
+    assert "zeta(s1,s2)" in _TERM_KEYS
+    # A stored factor text is checked against each text's universe.
+    for text, universe, message in (
+        ("zeta(s1,s2,s3) + zeta(s1,s2)", None, "terms over different variable sets (at position 17)"),
+        ("zeta(s1,s2)", 3, "variable missing: s3 (at position 0)"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text, universe)
+        assert str(info.value) == message
+    assert parse("zeta(s1,s2)", 2) == parse("zeta(s1,s2)") == Expression(
+        blk(1, 2), {((blk(1), blk(2)),): 1})
+    # Stored from a text that failed on its universe, a factor text reads alone.
+    assert parse("zeta(s1,s2,s3)") == Expression(blk(1, 2, 3), {((blk(1), blk(2), blk(3)),): 1})
+    # A zero-padded index is read on every parse, never stored.
+    assert parse("zeta(s01,s2)") == Expression(blk(1, 2), {((blk(1), blk(2)),): 1})
+    # Factor texts whose blocks overlap are never stored, and are reported
+    # the same way whenever they are met.
+    for text, message in (
+        ("zeta(s1,s1)", "variable reused: s1 (at position 0)"),
+        ("zeta(s1)*zeta(s1)", "variable reused: s1 (at position 0)"),
+        ("zeta(s2,s1) + zeta(s1)*zeta(s1,s2)", "variable reused: s1 (at position 14)"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert str(info.value) == message
+    assert set(_TERM_KEYS) == {"zeta(s1,s2)", "zeta(s2,s1)", "zeta(s1,s2,s3)"}
+
+
+def test_term_table_is_bounded():
+    # 9,000 distinct depth-8 orderings, one per text: the table is emptied
+    # once on the way.
+    _TERM_KEYS.clear()
+    universe = full_universe(8)
+    orders = list(itertools.islice(itertools.permutations(range(1, 9)), TERM_TABLE_SIZE + 808))
+    bodies = ["zeta(" + ",".join(f"s{j}" for j in order) + ")" for order in orders]
+    atoms = [tuple(blk(j) for j in order) for order in orders]
+    for body, atom in zip(bodies + bodies[:10], atoms + atoms[:10]):
+        assert parse("3*" + body) == Expression(universe, {(atom,): 3})
+        assert len(_TERM_KEYS) <= TERM_TABLE_SIZE
+    assert len(_TERM_KEYS) == 818
+    # All 9,000 in one text: a call stores at most TERM_TABLE_SIZE texts, so
+    # it empties the table at most once.
+    _TERM_KEYS.clear()
+    text = " + ".join(bodies)
+    expr = Expression(universe, dict.fromkeys([(atom,) for atom in atoms], 1))
+    assert parse(text) == expr
+    assert list(_TERM_KEYS) == bodies[:TERM_TABLE_SIZE]
+    assert parse(text) == expr  # TERM_TABLE_SIZE hits, then an emptied table
+    assert list(_TERM_KEYS) == bodies[TERM_TABLE_SIZE:]
 
 
 def test_parse_declared_universe_must_cover():
