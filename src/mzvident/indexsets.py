@@ -13,12 +13,12 @@ from typing import Iterable
 
 MAX_INDEX = 63
 
-# Bounds of the per-process tables that the parser and the votes keep: one
+# Bounds of the per-process tables that the votes and `indices_of` keep: one
 # entry per seed, or per (seed, universe), and one per block or support (2^12
 # hold every block over n <= 12 variables); the modular vote's factor
 # inverses, one per (seed, point, support), hold the product of the two.  The
-# parser's term table holds one entry per distinct term text: 2^13 hold the
-# Hoffman identities for n = 5, 6 and 7 together (7,012 terms).
+# parser's one table keeps the first 2^13 term texts it meets, never emptied:
+# the Hoffman identities for n = 5, 6 and 7 together (7,012 terms).
 SEED_TABLE_SIZE = 8
 BLOCK_TABLE_SIZE = 1 << 12
 TERM_TABLE_SIZE = 1 << 13

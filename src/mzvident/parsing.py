@@ -35,7 +35,6 @@ from .algebra import (
 )
 from .identities import METHODS, IdentityReport
 from .indexsets import (
-    BLOCK_TABLE_SIZE,
     MAX_INDEX,
     TERM_TABLE_SIZE,
     full_universe,
@@ -183,20 +182,15 @@ _GLUE_RE = re.compile(r" (?<=[^\s+\-*(),] )(?=[^\s+\-*(),])")
 
 class _BlockMasks(dict):
     """Block text -> mask, checked and converted on first lookup, else
-    ValueError and nothing stored; emptied when it holds BLOCK_TABLE_SIZE."""
+    ValueError and nothing stored."""
 
     def __missing__(self, block: str) -> int:
         if not _ARG_RE.fullmatch(block):
             raise ValueError(block)
-        mask = mask_of(int(var[1:]) for var in block.split("+"))
-        if len(self) >= BLOCK_TABLE_SIZE:
-            self.clear()
-        self[block] = mask
+        mask = self[block] = mask_of(int(var[1:]) for var in block.split("+"))
         return mask
 
 
-# One table for every parse: a block's text is converted once per process.
-_BLOCK_MASKS = _BlockMasks()
 # One table for every parse: a term's factor text (`_TERM_RE` group 3) -> its
 # (key, support), read and checked once per process; see `_scan`.
 _TERM_KEYS: dict[str, tuple[tuple[ZetaAtom, ...], int]] = {}
@@ -212,26 +206,26 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     removed once, unless that would join two tokens (`s 1`, `ze ta`).  A
     term's blocks add without a carry, one bit per variable, iff disjoint,
     so their sum must have a bit per `s` and equal the universe.  A product
-    term sums its factors, each argument list read once per call; a block
-    text becomes its mask once per process (`_BLOCK_MASKS`).
+    term sums its factors; each argument list and each block text is read
+    once per call (`factor`, `_BlockMasks`).
 
     A term's factor text becomes its key and support once per process
-    (`_TERM_KEYS`), stored only once its blocks are found disjoint; its
-    tiling, sign, universe and coefficient are checked on every call.  The
-    table is emptied when it holds TERM_TABLE_SIZE entries, and a call
-    stores at most that many, so a text of more terms (H_8, H_9) empties it
-    at most once.  An entry is a term's text with its key; text with a
-    zero-padded index (`s01`) is not stored, so no entry outgrows a product
-    of 63 one-variable factors (3.7 KB; 29 MB for a full table, 1.9 MB full
-    of depth-8 terms).  A miss costs a lookup and a store: 7*H_5 to 7*H_8
-    parse 8-19% slower with the table empty.  A hit skips the read, so a
-    warm 7*H_7 parses in under half the time.
+    (`_TERM_KEYS`, the one table kept between calls), stored only once its
+    blocks are found disjoint; its tiling, sign, universe and coefficient
+    are checked on every call.  The table keeps the first TERM_TABLE_SIZE
+    texts it meets and is never emptied.  An entry is a term's text with its
+    key; text with a zero-padded index (`s01`) is not stored, so no entry
+    outgrows a product of 63 one-variable factors (3.7 KB; 29 MB for a full
+    table, 1.9 MB full of depth-8 terms).  A miss costs a lookup and a
+    store: 7*H_5 to H_8 parse 3-12% slower with the table empty than with
+    no table.  A hit skips the read, so a warm 7*H_7 parses in under half
+    the time.
     """
     text = " ".join(text.split())
     if _GLUE_RE.search(text):
         return None
     text = text.replace(" ", "")
-    mask = _BLOCK_MASKS.__getitem__
+    mask = _BlockMasks().__getitem__
 
     @lru_cache(maxsize=None)
     def factor(arglist: str) -> tuple[int, ZetaAtom, int]:  # (lowest bit, atom, blocks' sum)
@@ -245,7 +239,6 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     def pairs():  # (key, coeff) per term, else ValueError
         nonlocal universe
         pos = 0
-        room = TERM_TABLE_SIZE  # stores left in this call: at most one clear
         for term in _TERM_RE.finditer(text):
             sign, digits, body = term.groups()
             # Terms tile the text; only '-' may lead the first term, and
@@ -264,10 +257,8 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
                     support, key = sum(atom), (atom,)
                 if support.bit_count() != body.count("s"):
                     raise ValueError
-                if room and "s0" not in body:  # a zero-padded index (s01) has no length bound
-                    room -= 1
-                    if len(_TERM_KEYS) >= TERM_TABLE_SIZE:
-                        _TERM_KEYS.clear()
+                # A zero-padded index (s01) has no length bound.
+                if len(_TERM_KEYS) < TERM_TABLE_SIZE and "s0" not in body:
                     _TERM_KEYS[body] = key, support
             else:
                 key, support = entry

@@ -409,3 +409,17 @@ def test_env_seed_override(capsys, monkeypatch):
 def test_bad_flags_exit_two(capsys):
     code, _, _ = run(capsys, "verify", EXAMPLE_TEXT, "--no-such-flag")
     assert code == 2
+
+
+def test_expression_with_leading_minus_goes_after_double_dash(capsys):
+    # argparse reads an argument that starts with '-' as an option.
+    code, out, err = run(capsys, "verify", "-zeta(s1)")
+    assert code == 2
+    assert out == ""
+    assert "the following arguments are required: expr" in err
+    code, out, _ = run(capsys, "verify", "--", "-zeta(s1)")
+    assert code == 1
+    assert "witness: -1*zeta(s1)" in out
+    code, out, _ = run(capsys, "verify", "--methods", "canonical", "--", "-zeta(s1)")
+    assert code == 1
+    assert out == "verdict: not-identity\nmethod canonical: not-identity\nagreement: yes\nwitness: -1*zeta(s1)\n"

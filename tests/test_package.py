@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -6,10 +7,12 @@ import mzvident
 import mzvident.identities
 import mzvident.indexsets
 import mzvident.numeric
+import mzvident.parsing
 import mzvident.partitions
 import mzvident.ratfun
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_public_names_resolve():
@@ -32,6 +35,19 @@ def test_removed_names_are_gone():
     assert not {"min_index", "size", "factorial"} & set(mzvident.partitions.__all__)
     assert not hasattr(mzvident.identities, "NUMERIC_TRIALS")
     assert not hasattr(mzvident.numeric, "ROUNDING_TOL")
+    assert not hasattr(mzvident.parsing, "_BLOCK_MASKS")
+
+
+def test_sources_parse_as_python_3_10():
+    """Every package and test file is Python 3.10 grammar (`requires-python`).
+
+    This catches newer syntax such as `except*`; it does not check that the
+    standard-library names a file uses exist in 3.10.
+    """
+    files = sorted([*(SRC / "mzvident").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(files) > 10
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def loaded_after(code: str, names: set[str]) -> str:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -19,12 +20,10 @@ from mzvident.algebra import (
 )
 from mzvident.identities import IdentityReport, hoffman_identity, random_expression, verify
 from mzvident.indexsets import (
-    BLOCK_TABLE_SIZE,
     TERM_TABLE_SIZE,
     full_universe,
     indices_of,
     mask_of,
-    min_index,
 )
 from mzvident.parsing import (
     ParseError,
@@ -32,7 +31,6 @@ from mzvident.parsing import (
     _TERM_KEYS,
     _TERM_RE,
     _scan,
-    block_text,
     expression_text,
     parse,
     parse_arglist,
@@ -370,8 +368,7 @@ def test_long_whitespace_scanned_in_linear_time():
     assert time.perf_counter() - start < 2
 
 
-def test_block_table_is_shared_and_bounded():
-    table = mzvident.parsing._BLOCK_MASKS
+def test_block_text_leaves_nothing_behind():
     for text, message in (
         ("zeta(s0)", "variable index must be >= 1 (at position 5)"),
         ("zeta(s1+s1)", "duplicate index 1 (at position 8)"),
@@ -380,16 +377,22 @@ def test_block_table_is_shared_and_bounded():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert str(info.value) == message
-        assert text[5:-1] not in table
     assert parse("zeta(s2,s1)") == Expression(blk(1, 2), {((blk(2), blk(1)),): 1})
-    assert table.get("s2") == blk(2)  # kept for later parses
-    # Two-atom products over 13 variables: 8,190 distinct blocks.
-    universe = full_universe(13)
-    for block in range(1, universe):
-        text = f"zeta({block_text(block)})*zeta({block_text(universe ^ block)})"
-        atoms = sorted([(block,), (universe ^ block,)], key=lambda atom: min_index(atom[0]))
-        assert parse(text) == Expression(universe, {tuple(atoms): 1})
-        assert len(table) <= BLOCK_TABLE_SIZE
+    # Block text is read once per call, so zero-padded indices (never kept
+    # in the term table) leave nothing behind: 200 texts of 3,000-3,199
+    # zeros would keep about 0.7 MB in a per-process block table.
+    want = Expression(blk(1, 2, 3), {((blk(1), blk(2), blk(3)),): 1})
+    assert parse("zeta(s01,s2,s3)") == want  # a first call, so nothing lazily built counts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i in range(200):
+            assert parse(f"zeta(s{'0' * (3000 + i)}1,s2,s3)") == want
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_000
 
 
 def _parsed(text, declared):
@@ -455,26 +458,26 @@ def test_term_table_examples():
 
 
 def test_term_table_is_bounded():
-    # 9,000 distinct depth-8 orderings, one per text: the table is emptied
-    # once on the way.
+    # 9,000 distinct depth-8 orderings, one per text: the table keeps the
+    # first TERM_TABLE_SIZE, and the rest are read on every parse.
     _TERM_KEYS.clear()
     universe = full_universe(8)
     orders = list(itertools.islice(itertools.permutations(range(1, 9)), TERM_TABLE_SIZE + 808))
     bodies = ["zeta(" + ",".join(f"s{j}" for j in order) + ")" for order in orders]
     atoms = [tuple(blk(j) for j in order) for order in orders]
-    for body, atom in zip(bodies + bodies[:10], atoms + atoms[:10]):
+    for body, atom in zip(bodies + bodies[:10] + bodies[-10:], atoms + atoms[:10] + atoms[-10:]):
         assert parse("3*" + body) == Expression(universe, {(atom,): 3})
-        assert len(_TERM_KEYS) <= TERM_TABLE_SIZE
-    assert len(_TERM_KEYS) == 818
-    # All 9,000 in one text: a call stores at most TERM_TABLE_SIZE texts, so
-    # it empties the table at most once.
-    _TERM_KEYS.clear()
+    assert list(_TERM_KEYS) == bodies[:TERM_TABLE_SIZE]
+    # All 9,000 in one text: a parse hits the stored texts and reads the
+    # rest without storing them, and the table is never emptied.
     text = " + ".join(bodies)
     expr = Expression(universe, dict.fromkeys([(atom,) for atom in atoms], 1))
+    for _ in range(2):
+        assert parse(text) == expr
+        assert list(_TERM_KEYS) == bodies[:TERM_TABLE_SIZE]
+    _TERM_KEYS.clear()  # and cold: one parse stores the first TERM_TABLE_SIZE
     assert parse(text) == expr
     assert list(_TERM_KEYS) == bodies[:TERM_TABLE_SIZE]
-    assert parse(text) == expr  # TERM_TABLE_SIZE hits, then an emptied table
-    assert list(_TERM_KEYS) == bodies[TERM_TABLE_SIZE:]
 
 
 def test_parse_declared_universe_must_cover():
