@@ -276,9 +276,9 @@ def _mobius_row(r: int) -> tuple[int, ...]:
 def normalize(expr: Expression) -> CanonicalForm:
     """Expand every term into single zeta factors.
 
-    Terms with coefficient 0 are skipped.  A one-atom term is its own word:
-    its coefficient goes to its own key, and its depth joins the running
-    total of slots.  A product term takes one of two paths.
+    Terms with coefficient 0 are skipped.  One-atom terms are distinct
+    words: they seed the result in one step, and their total depth opens
+    the running total of slots.  A product term takes one of two paths.
 
     A term with an atom of depth 2 or more is folded with repeated
     stuffles.  Its atoms are disjoint, so each folded word occurs exactly
@@ -304,21 +304,14 @@ def normalize(expr: Expression) -> CanonicalForm:
 
     The running total may never exceed CANONICAL_BUDGET_WORDS.
     """
-    acc: dict[tuple[Block, ...], int] = {}
+    acc: dict[tuple[Block, ...], int] = {
+        term[0]: coeff for term, coeff in expr.terms.items() if coeff and len(term) == 1
+    }
     lattice: dict[tuple[Block, ...], int] = {}  # sigma -> c(sigma)
-    estimate = 0
+    estimate = sum(map(len, acc))
+    _check_slots(estimate)
     for term, coeff in expr.terms.items():
-        if not coeff:  # contributes nothing: no slot charged, no word built
-            continue
-        if len(term) == 1:
-            (atom,) = term
-            estimate += len(atom)
-            _check_slots(estimate)
-            value = acc.get(atom, 0) + coeff
-            if value:
-                acc[atom] = value
-            else:
-                acc.pop(atom, None)
+        if not coeff or len(term) == 1:  # nothing to add, or already in acc
             continue
         if all(len(atom) == 1 for atom in term):
             lattice[tuple(block for (block,) in term)] = coeff

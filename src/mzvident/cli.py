@@ -85,18 +85,29 @@ def _parse_assignment(text: str) -> dict[int, float]:
     return assign
 
 
+def _write(render, *args) -> None:
+    """Print render(*args) in full: `parse` holds each input number to the
+    int-to-text digit limit, but a sum of input coefficients may pass it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(render(*args))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_verify(args) -> int:
     seed = _default_seed() if args.seed is None else args.seed
     expr = _load_expression(args.expr)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     report = verify(expr, methods=methods, seed=seed)
-    print(serialize(report, args.format))
+    _write(serialize, report, args.format)
     return 0 if report.is_identity else 1
 
 
 def _cmd_normalize(args) -> int:
     expr = _load_expression(args.expr)
-    print(serialize(normalize(expr), args.format))
+    _write(serialize, normalize(expr), args.format)
     return 0
 
 
@@ -104,16 +115,16 @@ def _cmd_stuffle(args) -> int:
     u = parse_arglist(args.left)
     v = parse_arglist(args.right)
     result = stuffle_product(u, v)
-    print(serialize(result, args.format))
+    _write(serialize, result, args.format)
     return 0
 
 
 def _cmd_hoffman(args) -> int:
     expr = hoffman_identity(args.n)
-    print(serialize(expr, args.format))
+    _write(serialize, expr, args.format)
     if args.verify:
         report = verify(expr, methods=["canonical"])
-        print(serialize(report, args.format))
+        _write(serialize, report, args.format)
         return 0 if report.is_identity else 1
     return 0
 
@@ -128,7 +139,7 @@ def _cmd_rational(args) -> int:
             f"({'*'.join('x%d' % j for j in indices_of(s))}-1)^{m}"
             for s, m in sorted(factors.items(), key=lambda kv: tuple(indices_of(kv[0])))
         )
-        print(f"{coeff:+d} * {'*'.join(atom_text(a) for a in term)}  ->  1 / [{rendered}]")
+        _write("{:+d} * {}  ->  1 / [{}]".format, coeff, "*".join(map(atom_text, term)), rendered)
     if args.check:
         ok = kronecker_zero_test(terms)
         print(f"zero combination: {'yes' if ok else 'no'}")

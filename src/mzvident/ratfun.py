@@ -28,16 +28,16 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import LegalTerm
 from .indexsets import BLOCK_TABLE_SIZE, MAX_INDEX, SEED_TABLE_SIZE, indices_of
 
 # A rational term is a product of denominator factors: support mask -> power.
-RationalTermRep = Counter
+RationalTermRep = dict[int, int]
 
 # Largest packed numerator, in bits, the exact zero test will build.  It
 # admits Hoffman n=5 (about 5.7e7 bits) and refuses n=6 (about 9.7e10).
@@ -61,22 +61,16 @@ def rational_term_of(term: LegalTerm) -> RationalTermRep:
     """Denominator factorization of the rational function of a legal term.
 
     For each atom, the b-th factor's support is the union of the atom's
-    first b blocks; multiplicities accumulate across atoms.
+    first b blocks, to power 1: a legal term's unions are all distinct.
     """
-    factors: RationalTermRep = Counter()
-    for atom in term:
-        prefix = 0
-        for block in atom:
-            prefix |= block
-            factors[prefix] += 1
-    return factors
+    return {prefix: 1 for atom in term for prefix in accumulate(atom, or_)}
 
 
-def _lcd(terms: Sequence[tuple[int, Mapping[int, int]]]) -> Counter:
-    lcd: Counter = Counter()
+def _lcd(terms: Sequence[tuple[int, Mapping[int, int]]]) -> dict[int, int]:
+    lcd: dict[int, int] = {}
     for _, factors in terms:
         for support, mult in factors.items():
-            if mult > lcd[support]:
+            if mult > lcd.get(support, 0):
                 lcd[support] = mult
     return lcd
 

@@ -113,6 +113,13 @@ def test_value_constructors_and_repr():
     assert Expression(1, {}) != CanonicalForm(1, {})
 
 
+def test_sum_across_universes_is_refused():
+    one, two = parse("zeta(s1)"), parse("zeta(s1,s2)")
+    for combine in (lambda: one + two, lambda: two - one):
+        with pytest.raises(LegalityError, match="^universe mismatch$"):
+            combine()
+
+
 # --- stuffle product -------------------------------------------------------
 
 # (s,u)*(t,v) with s,u,t,v as variables 1..4: the thirteen tuples of the

@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 import mzvident.identities
 import mzvident.numeric
 from mzvident.cli import cli_main
-from mzvident.identities import hoffman_identity
+from mzvident.identities import hoffman_identity, verify
 from mzvident.parsing import parse, serialize
 
 EXAMPLE_TEXT = (
@@ -65,6 +67,30 @@ def test_huge_integers_exit_two(capsys):
     code, out, err = run(capsys, "verify", "zeta(s" + "1" * 5000 + ")")
     assert code == 2 and out == ""
     assert err == "error: variable index out of range 1..63 (at position 5)\n"
+
+
+def test_results_past_the_digit_limit_are_written_in_full(capsys):
+    # Each input coefficient is within Python's int-to-text limit (4,300
+    # digits), but a sum of two is not: 2*C = 1 9...9 8 has 4,301 digits.
+    # The result is written whole, and the limit still holds for input.
+    c = "9" * 4300
+    twice = "1" + "9" * 4299 + "8"
+    text = f"{c}*zeta(s1,s2) + {c}*zeta(s1)*zeta(s2) - {c}*zeta(s2,s1) - {c}*zeta(s1+s2)"
+    code, out, err = run(capsys, "verify", text, "--methods", "canonical")
+    assert (code, err) == (1, "")
+    assert out == f"verdict: not-identity\nmethod canonical: not-identity\nagreement: yes\nwitness: {twice}*zeta(s1,s2)\n"
+    code, out, err = run(capsys, "verify", text, "--methods", "canonical", "--format", "structured")
+    assert (code, err) == (1, "")
+    assert f'\n  "witness": {{\n    "coeff": {twice},\n' in out
+    code, out, err = run(capsys, "normalize", f"{c}*zeta(s1) + {c}*zeta(s1)")
+    assert (code, out, err) == (0, f"{twice}*zeta(s1)\n", "")
+    code, out, err = run(capsys, "rational", f"{c}*zeta(s1) + {c}*zeta(s1)")
+    assert (code, out, err) == (0, f"+{twice} * zeta(s1)  ->  1 / [(x1-1)^1]\n", "")
+    code, out, err = run(capsys, "normalize", "1" + c + "*zeta(s1)")
+    assert (code, out) == (2, "")
+    assert err == "error: coefficient too long (at position 0)\n"
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        str(10**4300)
 
 
 def test_verify_gapped_universe_rejected(capsys):
@@ -252,6 +278,17 @@ def test_hoffman_verify(capsys):
     assert "verdict: identity" in out
 
 
+def test_hoffman_verify_structured_writes_two_documents(capsys):
+    # The expression, then the report: stdout is two JSON documents, not one.
+    code, out, _ = run(capsys, "hoffman", "2", "--verify", "--format", "structured")
+    assert code == 0
+    expr = hoffman_identity(2)
+    report = verify(expr, methods=["canonical"])
+    assert out == serialize(expr, "structured") + "\n" + serialize(report, "structured") + "\n"
+    with pytest.raises(json.JSONDecodeError, match="Extra data"):
+        json.loads(out)
+
+
 def test_hoffman_out_of_range(capsys):
     code, _, err = run(capsys, "hoffman", "99")
     assert code == 2
@@ -287,6 +324,9 @@ def test_eval_bad_assignment(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "zeta(s1)", "--assign", "q1=2")
     assert code == 2
+    code, out, err = run(capsys, "eval", "zeta(s1)", "--assign", "s1")
+    assert (code, out) == (2, "")
+    assert err == "error: bad assignment 's1', expected sK=value\n"
 
 
 def test_eval_assignment_name_non_ascii_digit(capsys):

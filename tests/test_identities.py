@@ -241,6 +241,7 @@ def test_report_compares_by_fields_and_is_unhashable():
     same = IdentityReport(report.witness, dict(report.per_method))
     assert report == same and report != IdentityReport(report.witness)
     assert IdentityReport(None) == IdentityReport(witness=None, per_method={})
+    assert (IdentityReport(None) == object()) is False
     with pytest.raises(TypeError):
         hash(report)
     a, b = IdentityReport(None), IdentityReport(None)

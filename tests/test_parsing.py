@@ -677,8 +677,10 @@ def test_structured_writer_edge_cases():
     identity = verify(parse(EXAMPLE_TEXT))
     disagreeing = IdentityReport(None, {"canonical": True, "numeric": False})
     assert identity.is_identity and identity.agreement and not disagreeing.agreement
+    no_votes = IdentityReport(None)
+    assert '"methods": {}' in serialize(no_votes, "structured")
     reports = (verify(big), verify(deep_expr), huge_witness, negative_witness, identity, disagreeing)
-    for report in (not_identity, *reports):
+    for report in (not_identity, *reports, no_votes):
         assert_structured_matches_stdlib(report, report_json)
     deep_block = mask_of(range(1, 13))
     operands = [((), ()), ((blk(1, 3),), ()), ((), (blk(2),)), ((deep_block,), (blk(13), blk(14)))]

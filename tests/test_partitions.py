@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mzvident.indexsets import full_universe, indices_of, mask_of
+from mzvident.indexsets import full_universe, indices_of, mask_of, min_index
 from mzvident.partitions import (
     bell_count,
     check_partition,
@@ -173,6 +173,14 @@ def test_fubini_values():
 def test_fubini_no_silent_wrap():
     # Fubini(20) exceeds 64 bits; exact integers must carry it.
     assert fubini_count(20) > 2**63
+
+
+def test_index_set_bounds():
+    with pytest.raises(ValueError, match="^empty index set has no minimum$"):
+        min_index(0)
+    for n in (0, 64):
+        with pytest.raises(ValueError, match=rf"^universe size {n} out of range 1\.\.63$"):
+            full_universe(n)
 
 
 def test_bell_values():

@@ -64,6 +64,34 @@ def test_factor_count_is_total_atom_length():
         assert sum(rational_term_of(term).values()) == total
 
 
+def counted_factors(term):
+    """Prefix unions of each atom's blocks, with multiplicities accumulated
+    across atoms: the factorization without the legality shortcut."""
+    factors = Counter()
+    for atom in term:
+        prefix = 0
+        for block in atom:
+            prefix |= block
+            factors[prefix] += 1
+    return factors
+
+
+def test_legal_term_factors_are_distinct_first_powers():
+    # A legal term uses each variable once, so its prefix unions are
+    # distinct: one factor per block, each to the first power.
+    rng = random.Random(24)
+    universes = [full_universe(n) for n in range(1, 8)]
+    universes += [blk(2, 5), blk(1, 3, 4, 7), blk(2, 3, 5, 6, 7, 9)]  # gapped
+    exprs = [random_expression(u, rng, max_terms=6) for u in universes for _ in range(25)]
+    exprs += [hoffman_identity(n) for n in range(1, 7)]
+    for expr in exprs:
+        for term in expr.terms:
+            factors = rational_term_of(term)
+            assert set(factors.values()) == {1}
+            assert len(factors) == sum(map(len, term))
+            assert list(factors.items()) == list(counted_factors(term).items())
+
+
 # --- zero tests ------------------------------------------------------------
 
 # The exact test and the seeded modular vote must agree wherever the exact
