@@ -76,7 +76,8 @@ class _Frozen:
     """An immutable value whose fields are its `__slots__`, in constructor order.
 
     Assignment and deletion raise AttributeError, so copy and pickle rebuild
-    a value through its constructor.
+    a value through its constructor.  Values of one class are equal when
+    their fields are, and hash by their fields, a mapping field by its items.
     """
 
     __slots__ = ()
@@ -87,12 +88,23 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(tuple(frozenset(f.items()) if isinstance(f, Mapping) else f for f in self._fields()))
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields()
 
 
 def _add_pairs(acc: dict, pairs: Iterable[tuple[object, int]]) -> dict:
@@ -139,14 +151,6 @@ class Expression(_Frozen):
             return Expression(self.universe, {})
         return Expression(self.universe, {t: k * c for t, c in self.terms.items()})
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Expression):
-            return NotImplemented
-        return self.universe == other.universe and dict(self.terms) == dict(other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.universe, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -182,14 +186,6 @@ class CanonicalForm(_Frozen):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.universe == other.universe and dict(self.coeffs) == dict(other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.universe, frozenset(self.coeffs.items())))
 
 
 # Most word slots (words times their length bound) one call may build: a

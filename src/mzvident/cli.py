@@ -8,35 +8,18 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
-from .algebra import Expression, LegalityError, normalize, stuffle_product
+from .algebra import Expression, normalize, stuffle_product
 from .identities import METHODS, hoffman_identity, verify
 from .indexsets import MAX_INDEX, full_universe, indices_of, min_index
 from .numeric import DEFAULT_TRUNCATION, residuals, term_values
-from .parsing import (
-    ParseError,
-    atom_text,
-    parse,
-    parse_arglist,
-    serialize,
-)
+from .parsing import atom_text, parse, parse_arglist, serialize
 from .ratfun import kronecker_zero_test, rational_term_of
 
 
 class CliError(Exception):
     pass
-
-
-def _default_seed() -> int:
-    env = os.environ.get("MZV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"MZV_SEED must be an integer, got {env!r}")
-    return 0
 
 
 def _load_expression(spec: str) -> Expression:
@@ -97,10 +80,9 @@ def _write(render, *args) -> None:
 
 
 def _cmd_verify(args) -> int:
-    seed = _default_seed() if args.seed is None else args.seed
     expr = _load_expression(args.expr)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    report = verify(expr, methods=methods, seed=seed)
+    report = verify(expr, methods=methods, seed=args.seed)
     _write(serialize, report, args.format)
     return 0 if report.is_identity else 1
 
@@ -168,15 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_expr=True):
-        if with_expr:
-            sp.add_argument("expr", help="expression text, or @file")
+    def add_common(sp):
+        sp.add_argument("expr", help="expression text, or @file")
         sp.add_argument("--format", choices=["text", "structured"], default="text")
 
     sp = sub.add_parser("verify", help="decide whether an expression is an identity")
     add_common(sp)
     sp.add_argument("--methods", default=",".join(METHODS))
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("normalize", help="expand into single zeta factors")
@@ -217,7 +198,7 @@ def cli_main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except (CliError, ParseError, LegalityError, ValueError) as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -17,6 +17,7 @@ from .algebra import (
     Block,
     Expression,
     ZetaAtom,
+    _Frozen,
     _add_pairs,
     atom_support,
     is_partition_identity,
@@ -32,33 +33,25 @@ HOFFMAN_CAP = 8
 METHODS = ("canonical", "rational", "numeric")
 
 
-class IdentityReport:
+class IdentityReport(_Frozen):
     """What `verify` observed; the verdict and agreement derive from it.
 
     The canonical route's `witness` (None when every canonical coefficient
     vanishes) settles the verdict.  `per_method` holds the vote of each
-    requested method, in METHODS order; `verify` fills it after
-    construction, so a report is mutable, compares by its two fields and
-    is unhashable.
+    requested method, in METHODS order; `verify` fills that dict after
+    construction, so a report is unhashable.
     """
 
     __slots__ = ("witness", "per_method")
+    __hash__ = None
 
     def __init__(
         self,
         witness: Optional[tuple[tuple[Block, ...], int]],
         per_method: Optional[dict[str, bool]] = None,
     ) -> None:
-        self.witness = witness
-        self.per_method = {} if per_method is None else per_method
-
-    def __repr__(self) -> str:
-        return f"IdentityReport(witness={self.witness!r}, per_method={self.per_method!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.witness, self.per_method) == (other.witness, other.per_method)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "per_method", {} if per_method is None else per_method)
 
     @property
     def is_identity(self) -> bool:

@@ -352,11 +352,18 @@ def canonical_text(canon: CanonicalForm) -> str:
     return stuffle_text(canon.coeffs)  # the same map: ordered partition -> int
 
 
+def _votes(report: IdentityReport) -> dict[str, bool]:
+    """The report's votes in METHODS order; both writers refuse a method outside METHODS."""
+    for m in report.per_method:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r} in report; choose from {', '.join(METHODS)}")
+    return {m: report.per_method[m] for m in METHODS if m in report.per_method}
+
+
 def report_text(report: IdentityReport) -> str:
     lines = [f"verdict: {report.verdict}"]
-    for m in METHODS:
-        if m in report.per_method:
-            lines.append(f"method {m}: {'identity' if report.per_method[m] else 'not-identity'}")
+    for m, vote in _votes(report).items():
+        lines.append(f"method {m}: {'identity' if vote else 'not-identity'}")
     lines.append(f"agreement: {'yes' if report.agreement else 'no'}")
     if report.witness is not None:
         parts, coeff = report.witness
@@ -368,8 +375,8 @@ def report_text(report: IdentityReport) -> str:
 # Each kind's fixed layout is written directly, byte for byte as `json.dumps(doc,
 # sort_keys=True, indent=2)` writes the README's document: ints through `str` or
 # `format`, and every string and bool as a literal.  The only strings are field
-# names, METHODS names and the two verdicts, none of which needs escaping, so the
-# report writer refuses a `per_method` key outside METHODS.
+# names, METHODS names and the two verdicts, none of which needs escaping, so
+# `_votes` refuses a `per_method` key outside METHODS.
 
 
 def _list(items: list[str], indent: str) -> str:
@@ -442,13 +449,10 @@ def _bool(value: bool) -> str:
 
 
 def report_structured(report: IdentityReport) -> str:
-    for m in report.per_method:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r} in report; choose from {', '.join(METHODS)}")
     fields = {
         "agreement": _bool(report.agreement),
         "kind": '"report"',
-        "methods": _object({m: _bool(v) for m, v in report.per_method.items()}, "  "),
+        "methods": _object({m: _bool(v) for m, v in _votes(report).items()}, "  "),
         "verdict": '"identity"' if report.is_identity else '"not-identity"',
     }
     if report.witness is not None:

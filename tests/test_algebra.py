@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from itertools import permutations
 from math import factorial
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,20 @@ def test_value_constructors_and_repr():
     assert repr(expr) == "Expression(universe=3, terms={((1,), (2,)): 2})"
     assert repr(CanonicalForm(1, {(1,): -1})) == "CanonicalForm(universe=1, coeffs={(1,): -1})"
     assert Expression(1, {}) != CanonicalForm(1, {})
+
+
+def test_value_equality_is_by_class_and_fields():
+    # One base defines equality and hashing for both types: values of
+    # different types never compare equal, even with equal fields, and a
+    # read-only view of a mapping equals and hashes like the mapping.
+    for universe, mapping in ((1, {}), (3, {((1,), (2,)): 2, ((1, 2),): -1})):
+        expr, canon = Expression(universe, mapping), CanonicalForm(universe, mapping)
+        assert (expr == canon, canon == expr) == (False, False)
+        assert expr != canon and canon != expr
+        for cls in (Expression, CanonicalForm):
+            value, view = cls(universe, mapping), cls(universe, MappingProxyType(mapping))
+            assert value == view and view == value and hash(view) == hash(value)
+            assert hash(value) == hash((universe, frozenset(mapping.items())))
 
 
 def test_sum_across_universes_is_refused():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mzvident.cli
 import mzvident.identities
 import mzvident.numeric
 from mzvident.cli import cli_main
@@ -437,13 +438,27 @@ def test_verify_duplicate_methods_run_once(capsys):
     assert json.loads(out)["methods"] == {"canonical": True}
 
 
-def test_env_seed_override(capsys, monkeypatch):
-    monkeypatch.setenv("MZV_SEED", "12")
-    code, out, _ = run(capsys, "verify", EXAMPLE_TEXT)
-    assert code == 0
-    monkeypatch.setenv("MZV_SEED", "notanint")
-    code, _, err = run(capsys, "verify", EXAMPLE_TEXT)
-    assert code == 2
+def test_env_seed_is_ignored(capsys, monkeypatch):
+    # The seed comes from --seed alone, as in the library's verify: a set or
+    # malformed MZV_SEED leaves the exit code and every byte unchanged.
+    seeds = []
+
+    def recording_verify(expr, methods, seed):
+        seeds.append(seed)
+        return verify(expr, methods, seed)
+
+    monkeypatch.setattr(mzvident.cli, "verify", recording_verify)
+    monkeypatch.delenv("MZV_SEED", raising=False)
+    for text in (EXAMPLE_TEXT, EXAMPLE_TEXT + " + zeta(s1,s2,s3)"):
+        argv = ("verify", text, "--format", "structured")
+        want = run(capsys, *argv)
+        for value in ("12", "notanint"):
+            monkeypatch.setenv("MZV_SEED", value)
+            assert run(capsys, *argv) == want
+        monkeypatch.delenv("MZV_SEED")
+        assert want[0] == (0 if text == EXAMPLE_TEXT else 1)
+    assert run(capsys, "verify", EXAMPLE_TEXT, "--seed", "5")[0] == 0
+    assert seeds == [0] * 6 + [5]
 
 
 def test_bad_flags_exit_two(capsys):

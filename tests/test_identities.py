@@ -252,6 +252,21 @@ def test_report_compares_by_fields_and_is_unhashable():
         assert type(clone) is IdentityReport and clone == report
 
 
+def test_report_fields_are_immutable():
+    report = verify(parse("zeta(s1)*zeta(s2) - zeta(s1,s2)"))
+    assert report.witness is not None
+    for name in IdentityReport.__slots__:
+        before = getattr(report, name)
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+        assert getattr(report, name) is before
+    for clone in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert (clone.witness, clone.per_method) == (report.witness, report.per_method)
+        assert clone.per_method is not report.per_method
+
+
 def test_report_derives_verdict_and_agreement():
     refuted = IdentityReport(((1,), 1))
     assert refuted.verdict == "not-identity" and not refuted.is_identity

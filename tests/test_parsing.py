@@ -294,6 +294,26 @@ def test_whitespace_never_joins_tokens():
         assert parse(text) == want, repr(space)
 
 
+@given(st.integers(1, 6), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_legal_text_takes_the_scanner(n, seed):
+    # Written text, the same text with whitespace around each `+-*(),` and
+    # at both ends, and with zero-padded indices (s01) is legal: the scanner
+    # reads it, and the token parser is never needed.
+    rng = random.Random(seed)
+    expr = random_expression(full_universe(n), rng)
+    if expr.is_zero():
+        return  # written as "0", which names no universe
+    text = expression_text(expr)
+    spaces = ("", " ", "  ", "\t", "\n", "\u2003")
+    spaced = "".join(
+        rng.choice(spaces) + c + rng.choice(spaces) if c in "+-*()," else c for c in text
+    )
+    for legal in (text, rng.choice(spaces) + spaced + rng.choice(spaces), text.replace("s", "s0")):
+        assert _scan(legal) is not None, legal
+        assert parse(legal) == expr, legal
+
+
 # The scan sums each term's (key, coefficient) pair as it is matched.  On the
 # text below (Python 3.11.7) a parse whose terms are all in the term table
 # peaks at 776,390 traced bytes (1,301,589 with no table; 1,590,281 if it
@@ -543,10 +563,11 @@ def test_serialize_unknown_format():
 
 
 def test_structured_report_refuses_unknown_method():
-    report = IdentityReport(None, {"canonical": True, 'num"eric': True})
-    with pytest.raises(ValueError, match="unknown method"):
-        serialize(report, "structured")
-    assert "method canonical: identity" in serialize(report, "text")
+    # Both writers refuse, so the text report cannot drop a vote unseen.
+    for per_method in {"canonical": True, 'num"eric': True}, {"bogus": False}:
+        for fmt in "structured", "text":
+            with pytest.raises(ValueError, match="unknown method"):
+                serialize(IdentityReport(None, per_method), fmt)
 
 
 @given(st.integers(1, 4), st.integers(0, 10_000))

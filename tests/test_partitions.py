@@ -117,6 +117,18 @@ def test_every_partition_satisfies_invariants():
         check_partition(parts, ground)
 
 
+def test_check_partition_refusals():
+    ground = mask_of([1, 2, 3])
+    for parts, message in [
+        ((mask_of([1]), 0, mask_of([2, 3])), "empty part"),
+        ((mask_of([1, 2]), mask_of([2, 3])), "overlapping parts"),
+        ((mask_of([1]), mask_of([2])), "parts do not cover the ground set"),
+        ((mask_of([1]), mask_of([2, 3, 4])), "parts do not cover the ground set"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_partition(parts, ground)
+
+
 def test_no_duplicates_emitted():
     for n in range(1, 6):
         ordered = ordered_set_partitions(full_universe(n))

@@ -437,7 +437,6 @@ def test_vote_gives_up_after_max_points(monkeypatch, capsys, fresh_inverses):
     with pytest.raises(RuntimeError, match=f"all {MAX_POINTS} points of seed 61"):
         is_zero_combination([(1, Counter({blk(1): 1}))], 61)
     assert len(stuck.points) == MAX_POINTS
-    monkeypatch.delenv("MZV_SEED", raising=False)
     assert cli_main(["verify", "zeta(s1,s2)"]) == 2
     err = capsys.readouterr().err
     assert "error: internal error: RuntimeError" in err
