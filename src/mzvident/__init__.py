@@ -18,14 +18,9 @@ from .identities import (
     verify,
 )
 from .indexsets import full_universe, indices_of, mask_of
-from .numeric import eval_expression, eval_zeta_truncated, residual_report
+from .numeric import residual_report
 from .parsing import ParseError, parse, parse_arglist, serialize
-from .partitions import (
-    bell_count,
-    fubini_count,
-    ordered_set_partitions,
-    unordered_set_partitions,
-)
+from .partitions import bell_count, unordered_set_partitions
 from .ratfun import is_zero_combination, rational_term_of
 
 __version__ = "0.1.0"
@@ -37,9 +32,6 @@ __all__ = [
     "LegalityError",
     "ParseError",
     "bell_count",
-    "eval_expression",
-    "eval_zeta_truncated",
-    "fubini_count",
     "full_universe",
     "hoffman_identity",
     "indices_of",
@@ -47,7 +39,6 @@ __all__ = [
     "is_zero_combination",
     "mask_of",
     "normalize",
-    "ordered_set_partitions",
     "parse",
     "parse_arglist",
     "rational_term_of",

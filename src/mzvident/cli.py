@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 = identity (or plain success for non-verify commands),
-1 = not an identity, 2 = any error, an internal fault included.
+1 = not an identity, 2 = any error: a closed stdout and an internal fault too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 
 from .algebra import Expression, normalize, stuffle_product
@@ -197,7 +199,17 @@ def cli_main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early: point its descriptor, if any, at devnull
+        # so the exit flush cannot fail again (SIGPIPE note, Python's `signal` docs).
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 2
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

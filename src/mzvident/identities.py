@@ -9,7 +9,6 @@ to products of depth-1 factors over unordered partitions.
 from __future__ import annotations
 
 import itertools
-import random
 from math import factorial, prod
 from typing import Iterable, Optional
 
@@ -25,7 +24,7 @@ from .algebra import (
 )
 from .indexsets import full_universe
 from .numeric import residual_report
-from .partitions import ordered_set_partitions, unordered_set_partitions
+from .partitions import unordered_set_partitions
 from .ratfun import is_zero_combination, rational_terms_of_expression
 
 HOFFMAN_CAP = 8
@@ -135,25 +134,3 @@ def verify(
     if "numeric" in methods:
         report.per_method["numeric"] = residual_report(expr, seed) == 0
     return report
-
-
-def random_legal_term(universe: int, rng: random.Random) -> tuple[ZetaAtom, ...]:
-    """Seeded uniform-ish legal term: pick an unordered partition, then an
-    ordered subpartition of each part."""
-    parts = rng.choice(unordered_set_partitions(universe))
-    atoms = tuple(rng.choice(ordered_set_partitions(p)) for p in parts)
-    return atoms
-
-
-def random_expression(
-    universe: int,
-    rng: random.Random,
-    max_terms: int = 4,
-    coeff_range: tuple[int, int] = (-3, 3),
-) -> Expression:
-    """Seeded random legal expression used by cross-method agreement tests."""
-    entries = []
-    for _ in range(rng.randint(1, max_terms)):
-        coeff = rng.randint(*coeff_range)
-        entries.append((coeff, random_legal_term(universe, rng)))
-    return Expression.build(universe, entries)

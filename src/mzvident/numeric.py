@@ -46,50 +46,22 @@ def check_assignment(assign: Assignment, universe: int) -> None:
             raise ValueError(f"s{j} must exceed 1")
 
 
-def eval_zeta_truncated(exponents: Sequence[float], n_trunc: int) -> float:
-    """Sum over N > k_1 > ... > k_d > 0 of prod k_j^(-s_j).
-
-    Dynamic program over suffixes, O(N * depth).  Summation runs
-    largest-k-first to limit cancellation growth.
-    """
-    depth = len(exponents)
-    if depth == 0:
-        raise ValueError("empty exponent tuple")
-    if n_trunc < 2:
-        raise ValueError("truncation level must be >= 2")
-    if depth >= n_trunc:
-        raise ValueError("truncation too small")
-    # tail[k] = sum over suffix tuples whose leading index is k.
-    tail = [0.0] * n_trunc
-    for level in range(depth - 1, -1, -1):
-        s = exponents[level]
-        is_last = level == depth - 1
-        new = [0.0] * n_trunc
-        below = 0.0  # sum of tail[1:k], built incrementally
-        for k in range(1, n_trunc):
-            new[k] = k ** (-s) * (1.0 if is_last else below)
-            below += tail[k]
-        tail = new
-    # Largest k contributes the smallest magnitude; add those first.
-    return math.fsum(tail[n_trunc - 1 : 0 : -1])
-
-
 def atom_values(
     atoms: Iterable[ZetaAtom], block_row: Callable[[Block], Sequence], n_trunc: int, total=math.fsum
 ) -> dict:
     """Truncated value of every distinct atom in one pass.
 
     `block_row(block)`, the weights [f(1), ..., f(N-1)] of a block, is taken
-    once per block: k^(-s) makes each value bit-identical to
-    `eval_zeta_truncated`, and integers with `total=sum` make it exact.  In
-    a depth-d atom the index at level L, counted from the atom's end, has L
-    smaller indices below it and d-1-L larger ones above it, so only
-    k = L+1 .. N-d+L can reach the sum: a row holds those N-d entries.  A
-    row depends only on the atom's depth and suffix, so the atoms are
-    visited by depth, then sorted by their reversed block tuples, and a
-    stack keeps the rows of the suffix shared with the previous atom: every
-    distinct suffix of each depth is computed once, and only the rows on
-    the current path stay alive.
+    once per block: k^(-s) makes each value bit-identical to the test
+    reference `eval_zeta_truncated` (tests/_references.py), and integers
+    with `total=sum` make it exact.  In a depth-d atom the index at level L,
+    counted from the atom's end, has L smaller indices below it and d-1-L
+    larger ones above it, so only k = L+1 .. N-d+L can reach the sum: a row
+    holds those N-d entries.  A row depends only on the atom's depth and
+    suffix, so the atoms are visited by depth, then sorted by their reversed
+    block tuples, and a stack keeps the rows of the suffix shared with the
+    previous atom: every distinct suffix of each depth is computed once, and
+    only the rows on the current path stay alive.
 
     Raises ValueError, before a weight row would cross it, when the live
     entries (distinct blocks + live rows + 1) * (N - 1), with the deepest
@@ -148,11 +120,6 @@ def term_values(expr: Expression, assign: Assignment, n_trunc: int) -> list[floa
     return [coeff * math.prod(map(values.get, term)) for term, coeff in expr.terms.items()]
 
 
-def eval_expression(expr: Expression, assign: Assignment, n_trunc: int) -> float:
-    """Evaluate a legal expression at a truncation level."""
-    return math.fsum(term_values(expr, assign, n_trunc))
-
-
 def residuals(values: Sequence[float]) -> tuple[float, float]:
     """(absolute residual, residual relative to the sum of term magnitudes)
     of the term values `values`."""
@@ -199,8 +166,3 @@ def residual_report(expr: Expression, seed: int) -> int:
     products = map(mul, map(heads.__getitem__, map(first, full)), map(tails.__getitem__, map(second, full)))
     value = sum(coeff * math.prod(map(values.get, term)) for term, coeff in rest)
     return value + sum(map(mul, full.values(), products))
-
-
-def random_assignment(universe: int, rng: random.Random) -> dict[int, float]:
-    """Seeded draw of exponents from (1.1, 3.0] for every universe variable."""
-    return {j: 1.1 + 1.9 * rng.random() for j in indices_of(universe)}

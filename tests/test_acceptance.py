@@ -10,6 +10,13 @@ from collections import Counter
 
 import pytest
 
+from _references import (
+    eval_zeta_truncated,
+    fubini_count,
+    ordered_set_partitions,
+    random_assignment,
+    random_expression,
+)
 from mzvident.algebra import (
     Expression,
     is_partition_identity,
@@ -19,19 +26,13 @@ from mzvident.algebra import (
 )
 from mzvident.identities import (
     hoffman_identity,
-    random_expression,
     stuffle_identity,
     verify,
 )
 from mzvident.indexsets import full_universe, mask_of
-from mzvident.numeric import eval_zeta_truncated, random_assignment, residuals, term_values
+from mzvident.numeric import residuals, term_values
 from mzvident.parsing import parse
-from mzvident.partitions import (
-    bell_count,
-    fubini_count,
-    ordered_set_partitions,
-    unordered_set_partitions,
-)
+from mzvident.partitions import bell_count, unordered_set_partitions
 from mzvident.ratfun import (
     is_zero_combination,
     kronecker_zero_test,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,29 @@ def test_internal_fault_exit_two(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert err.rstrip().endswith("error: internal error: RuntimeError: route failed")
+
+
+def test_closed_stdout_exits_two_quietly():
+    # A reader that stops early (`mzvident hoffman 7 | head -c 10`) is no
+    # engine fault.  The pipe's read end is closed before the child starts,
+    # so its first write to stdout fails with EPIPE: inside `print` for the
+    # large output, and at cli_main's flush for the small buffered one.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for argv in (["hoffman", "7"], ["verify", "zeta(s1)"]):
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mzvident.cli", *argv],
+                    stdout=write,
+                    stderr=subprocess.PIPE,
+                    env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1", **unbuffered},
+                    text=True,
+                )
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (2, ""), (argv, unbuffered, proc.stderr)
 
 
 def test_non_ascii_digits_rejected(capsys):

@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _references import eval_expression, eval_zeta_truncated, random_assignment, random_expression
 import mzvident.numeric
 from mzvident.algebra import Expression, is_partition_identity, normalize, stuffle_product
-from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
+from mzvident.identities import hoffman_identity, stuffle_identity
 from mzvident.indexsets import full_universe, indices_of, mask_of
 from mzvident.numeric import (
     NUMERIC_BUDGET_FLOATS,
     atom_values,
-    eval_expression,
-    eval_zeta_truncated,
-    random_assignment,
     residual_report,
     residuals,
     term_values,

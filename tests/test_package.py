@@ -36,16 +36,33 @@ def test_removed_names_are_gone():
     assert not hasattr(mzvident.identities, "NUMERIC_TRIALS")
     assert not hasattr(mzvident.numeric, "ROUNDING_TOL")
     assert not hasattr(mzvident.parsing, "_BLOCK_MASKS")
+    # Test references now live in tests/_references.py.
+    moved = {
+        mzvident.numeric: ("eval_zeta_truncated", "eval_expression", "random_assignment"),
+        mzvident.partitions: ("check_partition", "fubini_count", "ordered_set_partitions", "OrderedPartition"),
+        mzvident.identities: ("random_legal_term", "random_expression"),
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ())
+    for name in ("eval_expression", "eval_zeta_truncated", "fubini_count", "ordered_set_partitions"):
+        assert not hasattr(mzvident, name) and name not in mzvident.__all__, name
 
 
 def test_sources_parse_as_python_3_10():
-    """Every package and test file is Python 3.10 grammar (`requires-python`).
+    """Every package, test and benchmark file is Python 3.10 grammar
+    (`requires-python`; CI's 3.10 leg also runs the benchmark smoke run).
 
     This catches newer syntax such as `except*`; it does not check that the
     standard-library names a file uses exist in 3.10.
     """
-    files = sorted([*(SRC / "mzvident").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    files = sorted(
+        [*(SRC / "mzvident").rglob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    )
     assert len(files) > 10
+    names = {path.relative_to(ROOT).as_posix() for path in files}
+    assert {"tests/_references.py", "tests/test_golden.py", "perfbench/run.py"} <= names
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 

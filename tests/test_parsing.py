@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _references import random_expression
 import mzvident.parsing
 from mzvident.algebra import (
     CanonicalForm,
@@ -18,7 +19,7 @@ from mzvident.algebra import (
     stuffle_product,
     term_order,
 )
-from mzvident.identities import IdentityReport, hoffman_identity, random_expression, verify
+from mzvident.identities import IdentityReport, hoffman_identity, verify
 from mzvident.indexsets import (
     TERM_TABLE_SIZE,
     full_universe,

@@ -3,13 +3,11 @@ import random
 
 import pytest
 
+from _references import check_partition, fubini_count, ordered_set_partitions
 from mzvident.indexsets import full_universe, indices_of, mask_of, min_index
 from mzvident.partitions import (
     bell_count,
-    check_partition,
     coarsenings,
-    fubini_count,
-    ordered_set_partitions,
     unordered_set_partitions,
 )
 

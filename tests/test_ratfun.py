@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _references import ordered_set_partitions, random_expression
 from mzvident.algebra import Expression, is_partition_identity
-from mzvident.identities import hoffman_identity, random_expression, stuffle_identity
+from mzvident.identities import hoffman_identity, stuffle_identity
 from mzvident.cli import cli_main
 from mzvident.indexsets import BLOCK_TABLE_SIZE, SEED_TABLE_SIZE, full_universe, indices_of, mask_of
 from mzvident.parsing import parse
-from mzvident.partitions import ordered_set_partitions
 import mzvident.ratfun
 from mzvident.ratfun import (
     KRONECKER_BUDGET_BITS,
