@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import os
 import sys
@@ -115,17 +116,16 @@ def _cmd_hoffman(args) -> int:
 
 def _cmd_rational(args) -> int:
     expr = _load_expression(args.expr)
-    terms = []
-    for term, coeff in expr.sorted_terms():
-        factors = rational_term_of(term)
-        terms.append((coeff, factors))
+    pairs = expr.sorted_terms()
+    terms = [(coeff, rational_term_of(term)) for term, coeff in pairs]
+    ok = kronecker_zero_test(terms) if args.check else None  # a refusal writes nothing
+    for (term, coeff), (_, factors) in zip(pairs, terms):
         rendered = " ".join(
             f"({'*'.join('x%d' % j for j in indices_of(s))}-1)^{m}"
             for s, m in sorted(factors.items(), key=lambda kv: tuple(indices_of(kv[0])))
         )
         _write("{:+d} * {}  ->  1 / [{}]".format, coeff, "*".join(map(atom_text, term)), rendered)
     if args.check:
-        ok = kronecker_zero_test(terms)
         print(f"zero combination: {'yes' if ok else 'no'}")
         return 0 if ok else 1
     return 0
@@ -195,10 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code else 0
-    try:
+        # argparse ignores a failed write of its help, so the help is caught
+        # here and written below, where a closed stdout shows.
+        help_text = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(help_text):
+                args = parser.parse_args(argv)
+        except SystemExit as e:
+            sys.stdout.write(help_text.getvalue())
+            sys.stdout.flush()
+            return 2 if e.code else 0
         code = args.func(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
         return code

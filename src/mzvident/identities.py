@@ -112,6 +112,11 @@ def verify(
     point, the numeric method the expression at integer weights, both drawn
     from `seed`, and each votes identity iff its value is 0.
     Methods run in METHODS order whatever the order requested.
+
+    Both votes refute exactly: a nonzero value means the canonical
+    coefficients do not all vanish.  So a vote that refutes a canonical
+    identity is a defect, never chance, and raises RuntimeError naming the
+    method and the seed.
     """
     if isinstance(methods, str):  # a str would iterate into one-letter names
         raise TypeError(f"methods must be an iterable of method names, not the string {methods!r}")
@@ -133,4 +138,7 @@ def verify(
 
     if "numeric" in methods:
         report.per_method["numeric"] = residual_report(expr, seed) == 0
+    for method, vote in report.per_method.items():
+        if ok and not vote:
+            raise RuntimeError(f"the {method} vote refuted a canonical identity at seed {seed}")
     return report

@@ -17,8 +17,10 @@ MAX_INDEX = 63
 # entry per seed, or per (seed, universe), and one per block or support (2^12
 # hold every block over n <= 12 variables); the modular vote's factor
 # inverses, one per (seed, point, support), hold the product of the two.  The
-# parser's one table keeps the first 2^13 term texts it meets, never emptied:
-# the Hoffman identities for n = 5, 6 and 7 together (7,012 terms).
+# parser's term table, and the numeric vote's term values over all its
+# (seed, universe) pairs together, keep the first 2^13 entries they meet,
+# never emptied: the Hoffman identities for n = 5, 6 and 7 together (7,012
+# terms).
 SEED_TABLE_SIZE = 8
 BLOCK_TABLE_SIZE = 1 << 12
 TERM_TABLE_SIZE = 1 << 13

@@ -7,24 +7,25 @@ partition, so an expression's value is a degree-n polynomial in the weights
 with its canonical coefficients: a nonzero value refutes exactly, and a zero
 errs with probability at most n / 2^64 (Schwartz-Zippel).  There a
 full-depth atom's value is one product of two shared halves (meet in the
-middle, Horowitz and Sahni 1974).  The weights depend only on the seed and
-the universe, so they are drawn once per process (at most SEED_TABLE_SIZE
-(seed, universe) pairs), and each block's weight row is built once (at most
-BLOCK_TABLE_SIZE rows); a vote reads them.
+middle, Horowitz and Sahni 1974).  The weights, and so each term's value,
+depend only on the seed and the universe: each process keeps, for the last
+SEED_TABLE_SIZE (seed, universe) pairs, the weights and a table of term
+values, coefficient excluded, at most TERM_TABLE_SIZE values in all.  A vote
+reads the values it finds there and computes only the rest.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache, partial
-from itertools import accumulate
-from operator import getitem, itemgetter, mul
+from functools import partial
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import getitem, itemgetter, mul, not_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import Block, Expression, ZetaAtom
-from .indexsets import BLOCK_TABLE_SIZE, SEED_TABLE_SIZE, indices_of
+from .indexsets import SEED_TABLE_SIZE, TERM_TABLE_SIZE, indices_of
 
 DEFAULT_TRUNCATION = 50
 
@@ -130,7 +131,6 @@ def residuals(values: Sequence[float]) -> tuple[float, float]:
     return total, total / magnitude
 
 
-@lru_cache(maxsize=SEED_TABLE_SIZE)
 def _columns(seed: int, universe: int) -> tuple[Mapping[int, int], ...]:
     """The numeric vote's weights over `universe` (n variables): f_j(k) in
     [1, 2^64), k = 1..n, drawn from random.Random(seed) variable by variable
@@ -140,29 +140,74 @@ def _columns(seed: int, universe: int) -> tuple[Mapping[int, int], ...]:
     return tuple(MappingProxyType({b: w[n - 1 - i] for b, w in weights.items()}) for i in range(n))
 
 
-@lru_cache(maxsize=BLOCK_TABLE_SIZE)
-def _block_row(seed: int, universe: int, block: Block) -> tuple[int, ...]:
+def _block_row(columns: Sequence[Mapping[int, int]], block: Block) -> tuple[int, ...]:
     """(f_B(1), ..., f_B(n)) of `block` B, f_B(k) = prod_{j in B} f_j(k)."""
     singletons = [1 << j - 1 for j in indices_of(block)]
-    columns = reversed(_columns(seed, universe))
-    return tuple(math.prod(map(column.__getitem__, singletons)) for column in columns)
+    return tuple(math.prod(map(column.__getitem__, singletons)) for column in reversed(columns))
+
+
+# The numeric vote's per-process state: (seed, universe) -> (its weights, its
+# term table) for the SEED_TABLE_SIZE pairs used last, least recent first.  A
+# term table maps a term to its exact value at those weights, coefficient
+# excluded; all tables together hold at most TERM_TABLE_SIZE values.
+_SEED_TABLES: dict[tuple[int, int], tuple[tuple[Mapping[int, int], ...], dict]] = {}
+
+
+def _seed_tables(seed: int, universe: int) -> tuple[tuple[Mapping[int, int], ...], dict]:
+    """The weights and term table of (seed, universe), now the most recently
+    used pair; a new pair drops the least recently used past SEED_TABLE_SIZE."""
+    tables = _SEED_TABLES.pop((seed, universe), None)
+    if tables is None:
+        tables = _columns(seed, universe), {}
+        if len(_SEED_TABLES) == SEED_TABLE_SIZE:
+            del _SEED_TABLES[next(iter(_SEED_TABLES))]
+    _SEED_TABLES[seed, universe] = tables
+    return tables
 
 
 def residual_report(expr: Expression, seed: int) -> int:
     """Exact value of `expr` truncated at N = n + 1, at the integer weights
-    of `_columns(seed, expr.universe)`; zero for every identity.  At this N
-    alone a full-depth atom zeta(a_0, ..., a_{n-1}) has one index tuple,
-    k_i = n - i, so its value is one product; each distinct half before and
-    after block n // 2 is multiplied out once.  Other atoms go through
-    `atom_values`, with each block's row from `_block_row`."""
-    n, columns = expr.universe.bit_count(), _columns(seed, expr.universe)
-    full = {term[0]: coeff for term, coeff in expr.terms.items() if len(term[0]) == n}
-    rest = [(term, coeff) for term, coeff in expr.terms.items() if len(term[0]) < n]
-    block_row = partial(_block_row, seed, expr.universe)
-    values = atom_values((atom for term, _ in rest for atom in term), block_row, n + 1, total=sum)
+    of `_columns(seed, expr.universe)`; zero for every identity.
+
+    A term's value, coefficient excluded, is read from the term table of
+    (seed, universe), so the vote is the sum of coefficient * value.  Only
+    the terms it misses are computed, each shape in one pass.  At this N a
+    full-depth atom zeta(a_0, ..., a_{n-1}) has one index tuple, k_i = n - i,
+    so its value is one product; each distinct half before and after block
+    n // 2 is multiplied out once.  Other terms take their atoms' values
+    from `atom_values`, with each block's row built once.  The missed values
+    are stored, full-depth terms first and each shape in term order, while
+    the tables hold fewer than TERM_TABLE_SIZE values; the rest are summed
+    as they come.  A table is never emptied, but it leaves with its pair.
+    """
+    n, terms = expr.universe.bit_count(), expr.terms
+    columns, table = _seed_tables(seed, expr.universe)
+    if table:
+        # A missed term reads 0, which no value is: every weight is at least
+        # 1, and an atom of depth <= n has an index tuple at N = n + 1.
+        known = list(map(table.get, terms, repeat(0)))
+        value = sum(map(mul, terms.values(), known))
+        if 0 not in known:
+            return value
+        missed = list(map(not_, known))
+        keys, coeffs = list(compress(terms, missed)), list(compress(terms.values(), missed))
+    else:  # an empty table misses every term
+        value, keys, coeffs = 0, terms, terms.values()
+    # Masks, not (term, coefficient) pairs: a list of new tuples would wake
+    # the cyclic garbage collector on a large input.
+    full = [len(term[0]) == n for term in keys]
+    rest = list(map(not_, full))
+    atoms = [term[0] for term in compress(keys, full)]
     first, second = itemgetter(slice(n // 2)), itemgetter(slice(n // 2, None))
-    heads = {half: math.prod(map(getitem, columns, half)) for half in set(map(first, full))}
-    tails = {half: math.prod(map(getitem, columns[n // 2 :], half)) for half in set(map(second, full))}
-    products = map(mul, map(heads.__getitem__, map(first, full)), map(tails.__getitem__, map(second, full)))
-    value = sum(coeff * math.prod(map(values.get, term)) for term, coeff in rest)
-    return value + sum(map(mul, full.values(), products))
+    heads = {half: math.prod(map(getitem, columns, half)) for half in set(map(first, atoms))}
+    tails = {half: math.prod(map(getitem, columns[n // 2 :], half)) for half in set(map(second, atoms))}
+    rest_atoms = (atom for term in compress(keys, rest) for atom in term)
+    values = atom_values(rest_atoms, partial(_block_row, columns), n + 1, total=sum)
+    computed = chain(
+        map(mul, map(heads.__getitem__, map(first, atoms)), map(tails.__getitem__, map(second, atoms))),
+        (math.prod(map(values.get, term)) for term in compress(keys, rest)),
+    )
+    room = TERM_TABLE_SIZE - sum(len(held) for _, held in _SEED_TABLES.values())
+    kept = list(islice(computed, room))
+    table.update(zip(chain(compress(keys, full), compress(keys, rest)), kept))
+    return value + sum(map(mul, chain(compress(coeffs, full), compress(coeffs, rest)), chain(kept, computed)))

@@ -58,13 +58,34 @@ def test_internal_fault_exit_two(capsys, monkeypatch):
     assert err.rstrip().endswith("error: internal error: RuntimeError: route failed")
 
 
+@pytest.mark.parametrize(
+    "name, vote, method",
+    [
+        ("residual_report", lambda expr, seed: 1, "numeric"),
+        ("is_zero_combination", lambda terms, seed: False, "rational"),
+    ],
+)
+def test_vote_refuting_an_identity_is_an_internal_error(capsys, monkeypatch, name, vote, method):
+    # Both votes refute exactly, so a refuted canonical identity can only
+    # come from a defect in a route, never from the draw.
+    monkeypatch.setattr(mzvident.identities, name, vote)
+    code, out, err = run(capsys, "verify", EXAMPLE_TEXT, "--seed", "7")
+    assert (code, out) == (2, "")
+    assert err.rstrip().endswith(
+        f"error: internal error: RuntimeError: the {method} vote refuted a canonical identity at seed 7")
+    # A not-identity that the vote also refutes is no disagreement.
+    code, out, _ = run(capsys, "verify", "zeta(s1)*zeta(s2) - zeta(s1,s2)", "--seed", "7")
+    assert code == 1 and f"method {method}: not-identity" in out
+
+
 def test_closed_stdout_exits_two_quietly():
     # A reader that stops early (`mzvident hoffman 7 | head -c 10`) is no
     # engine fault.  The pipe's read end is closed before the child starts,
     # so its first write to stdout fails with EPIPE: inside `print` for the
     # large output, and at cli_main's flush for the small buffered one.
+    # argparse writes the help itself and ignores a failed write.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    for argv in (["hoffman", "7"], ["verify", "zeta(s1)"]):
+    for argv in (["hoffman", "7"], ["verify", "zeta(s1)"], ["--help"], ["verify", "--help"]):
         for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
             read, write = os.pipe()
             os.close(read)
@@ -336,8 +357,9 @@ def test_rational_check_identity(capsys):
 
 
 def test_rational_check_over_budget(capsys):
-    code, _, err = run(capsys, "rational", serialize(hoffman_identity(6)), "--check")
-    assert code == 2
+    # Refused before any work: no factor listing precedes the error.
+    code, out, err = run(capsys, "rational", serialize(hoffman_identity(6)), "--check")
+    assert (code, out) == (2, "")
     assert "rational zero test refused: estimate " in err and " bits > budget " in err
 
 

@@ -12,8 +12,9 @@ from _references import eval_expression, eval_zeta_truncated, random_assignment,
 import mzvident.numeric
 from mzvident.algebra import Expression, is_partition_identity, normalize, stuffle_product
 from mzvident.identities import hoffman_identity, stuffle_identity
-from mzvident.indexsets import full_universe, indices_of, mask_of
+from mzvident.indexsets import SEED_TABLE_SIZE, TERM_TABLE_SIZE, full_universe, indices_of, mask_of
 from mzvident.numeric import (
+    _SEED_TABLES,
     NUMERIC_BUDGET_FLOATS,
     atom_values,
     residual_report,
@@ -363,12 +364,19 @@ def brute_exact(expr, seed):
     return sum(c * math.prod(map(z, term)) for term, c in expr.terms.items())
 
 
+def cold_vote(expr, seed):
+    """The vote with every term table emptied first, so each of its values
+    is computed, not read from an earlier call."""
+    _SEED_TABLES.clear()
+    return residual_report(expr, seed)
+
+
 def test_exact_value_equals_brute_force():
     rng = random.Random(61)
     universes = [full_universe(n) for n in range(1, 6)] + [mask_of([2, 5, 7])]
     for seed in range(60):
         expr = random_expression(rng.choice(universes), rng, max_terms=5)
-        assert residual_report(expr, seed) == brute_exact(expr, seed)
+        assert cold_vote(expr, seed) == brute_exact(expr, seed)
 
 
 def test_exact_vote_sees_a_prime_multiple():
@@ -378,7 +386,7 @@ def test_exact_vote_sees_a_prime_multiple():
     for n in range(3, 8):
         h = hoffman_identity(n)
         top = parse("zeta(" + "+".join(f"s{j}" for j in range(1, n + 1)) + ")")
-        value = residual_report(h - top.scale(p), n)
+        value = cold_vote(h - top.scale(p), n)
         assert value != 0 and value % p == 0
 
 
@@ -403,9 +411,12 @@ def known_identities(draw, n):
 @given(st.data(), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_exact_vote_unchanged_by_adding_an_identity(data, seed):
+    # The second vote reads expr's values from the table and computes the
+    # identity's, the third reads them all.
     expr = data.draw(legal_expressions())
     identity = data.draw(known_identities(expr.universe.bit_count()))
-    value = residual_report(expr, seed)
+    value = cold_vote(expr, seed)
+    assert residual_report(expr + identity, seed) == value
     assert residual_report(expr + identity, seed) == value
     assert (value == 0) == is_partition_identity(expr)[0]
 
@@ -445,7 +456,7 @@ def test_full_depth_terms_vote_exactly():
     assert all(any(len(t) == 1 and len(t[0]) == e.universe.bit_count() for t in e.terms) for e in cases)
     for expr in cases:
         for seed in range(10):
-            assert residual_report(expr, seed) == brute_exact(expr, seed), (expr.universe, seed)
+            assert cold_vote(expr, seed) == brute_exact(expr, seed), (expr.universe, seed)
 
 
 def test_vote_does_not_depend_on_call_history():
@@ -460,8 +471,65 @@ def test_vote_does_not_depend_on_call_history():
         for universe in universes
     ]
     exact = [brute_exact(expr, seed) for seed, expr in cases]
+    _SEED_TABLES.clear()
     order = list(range(len(cases)))
     for order in (order[::2] + order[1::2], order[::-1]):
         for i in order:
             seed, expr = cases[i]
             assert residual_report(expr, seed) == exact[i], (seed, expr.universe)
+
+
+# --- the per-process term tables ----------------------------------------------
+
+
+def test_warm_votes_equal_cold_ones():
+    # Random expressions over full and gapped universes of up to 7
+    # variables, at seeds that repeat across them, voted with the tables
+    # warm (after the others, and then again with every term known), and
+    # sums of two of them (some terms known, some not), each against the
+    # vote with the tables emptied.
+    rng = random.Random(73)
+    universes = [full_universe(n) for n in range(1, 8)]
+    universes += [blk(2, 5, 7), blk(1, 3, 4, 6), blk(1, 2, 4, 6, 7, 9, 11)]
+    cases = [(rng.randrange(3), random_expression(u, rng, max_terms=12)) for u in universes for _ in range(4)]
+    cases += [(seed, a + b) for (seed, a), (_, b) in zip(cases[::2], cases[1::2])]
+    cold = [cold_vote(expr, seed) for seed, expr in cases]
+    _SEED_TABLES.clear()
+    for _ in range(2):
+        for (seed, expr), value in zip(cases, cold):
+            assert residual_report(expr, seed) == value, (seed, expr.universe)
+
+
+def test_term_tables_keep_the_first_values_up_to_the_bound():
+    # H_7 has 5,040 full-depth terms and 877 others.  At seed 0 all 5,917
+    # are stored; at seed 1 the room left, 2,275, takes the first full-depth
+    # terms in term order; at seed 2, or over another universe, nothing more.
+    h7, h5 = hoffman_identity(7), hoffman_identity(5)
+    _SEED_TABLES.clear()
+    for seed in range(3):
+        assert residual_report(h7, seed) == 0
+    assert residual_report(h5, 0) == 0
+    u7, u5 = h7.universe, h5.universe
+    tables = {pair: table for pair, (_, table) in _SEED_TABLES.items()}
+    assert list(tables) == [(0, u7), (1, u7), (2, u7), (0, u5)]
+    full = [term for term in h7.terms if len(term[0]) == 7]
+    assert list(tables[0, u7]) == full + [term for term in h7.terms if len(term[0]) < 7]
+    assert list(tables[1, u7]) == full[: TERM_TABLE_SIZE - len(h7.terms)]
+    assert tables[2, u7] == tables[0, u5] == {}
+    rng = random.Random(79)
+    for seed in (0, 1):
+        for term in rng.sample(list(tables[seed, u7]), 20):
+            assert tables[seed, u7][term] == brute_exact(Expression(u7, {term: 1}), seed)
+    # The tables stay full while their pairs are used: a warm vote that
+    # misses some terms stores none of them.
+    perturbed = h7 + Expression(u7, {((blk(1, 2, 3), blk(4, 5, 6, 7)),): 1})
+    assert residual_report(perturbed, 0) == brute_exact(perturbed, 0)
+    assert list(_SEED_TABLES)[-1] == (0, u7)  # the pair used last
+    assert sum(len(table) for _, table in _SEED_TABLES.values()) == TERM_TABLE_SIZE
+    # A pair dropped past SEED_TABLE_SIZE takes its values with it, and
+    # the room they leave is filled again.
+    for seed in range(3, 3 + SEED_TABLE_SIZE):
+        assert residual_report(h5, seed) == 0
+    assert (0, u7) not in _SEED_TABLES and (1, u7) not in _SEED_TABLES
+    assert residual_report(h7, 3) == 0
+    assert len(_SEED_TABLES[3, u7][1]) == len(h7.terms)
