@@ -8,17 +8,17 @@ with its canonical coefficients: a nonzero value refutes exactly, and a zero
 errs with probability at most n / 2^64 (Schwartz-Zippel).  There a
 full-depth atom's value is one product of two shared halves (meet in the
 middle, Horowitz and Sahni 1974).  The weights, and so each term's value,
-depend only on the seed and the universe: each process keeps, for the last
-SEED_TABLE_SIZE (seed, universe) pairs, the weights and a table of term
-values, coefficient excluded, at most TERM_TABLE_SIZE values in all.  A vote
-reads the values it finds there and computes only the rest.
+depend only on the seed and the universe: each process draws the weights
+of the last SEED_TABLE_SIZE (seed, universe) pairs once, and keeps the first
+TERM_TABLE_SIZE term values it meets, coefficient excluded, never emptied.
+A vote reads the values it finds there and computes only the rest.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import getitem, itemgetter, mul, not_
 from types import MappingProxyType
@@ -131,6 +131,7 @@ def residuals(values: Sequence[float]) -> tuple[float, float]:
     return total, total / magnitude
 
 
+@lru_cache(maxsize=SEED_TABLE_SIZE)
 def _columns(seed: int, universe: int) -> tuple[Mapping[int, int], ...]:
     """The numeric vote's weights over `universe` (n variables): f_j(k) in
     [1, 2^64), k = 1..n, drawn from random.Random(seed) variable by variable
@@ -146,30 +147,18 @@ def _block_row(columns: Sequence[Mapping[int, int]], block: Block) -> tuple[int,
     return tuple(math.prod(map(column.__getitem__, singletons)) for column in reversed(columns))
 
 
-# The numeric vote's per-process state: (seed, universe) -> (its weights, its
-# term table) for the SEED_TABLE_SIZE pairs used last, least recent first.  A
-# term table maps a term to its exact value at those weights, coefficient
-# excluded; all tables together hold at most TERM_TABLE_SIZE values.
-_SEED_TABLES: dict[tuple[int, int], tuple[tuple[Mapping[int, int], ...], dict]] = {}
-
-
-def _seed_tables(seed: int, universe: int) -> tuple[tuple[Mapping[int, int], ...], dict]:
-    """The weights and term table of (seed, universe), now the most recently
-    used pair; a new pair drops the least recently used past SEED_TABLE_SIZE."""
-    tables = _SEED_TABLES.pop((seed, universe), None)
-    if tables is None:
-        tables = _columns(seed, universe), {}
-        if len(_SEED_TABLES) == SEED_TABLE_SIZE:
-            del _SEED_TABLES[next(iter(_SEED_TABLES))]
-    _SEED_TABLES[seed, universe] = tables
-    return tables
+# The numeric vote's term values: (seed, universe) -> {term: its exact value
+# at `_columns(seed, universe)`'s weights, coefficient excluded}.  All tables
+# together keep the first TERM_TABLE_SIZE values met and are never emptied;
+# a pair has a table only once it stores a value.
+_TERM_VALUES: dict[tuple[int, int], dict] = {}
 
 
 def residual_report(expr: Expression, seed: int) -> int:
     """Exact value of `expr` truncated at N = n + 1, at the integer weights
     of `_columns(seed, expr.universe)`; zero for every identity.
 
-    A term's value, coefficient excluded, is read from the term table of
+    A term's value, coefficient excluded, is read from `_TERM_VALUES` at
     (seed, universe), so the vote is the sum of coefficient * value.  Only
     the terms it misses are computed, each shape in one pass.  At this N a
     full-depth atom zeta(a_0, ..., a_{n-1}) has one index tuple, k_i = n - i,
@@ -178,10 +167,10 @@ def residual_report(expr: Expression, seed: int) -> int:
     from `atom_values`, with each block's row built once.  The missed values
     are stored, full-depth terms first and each shape in term order, while
     the tables hold fewer than TERM_TABLE_SIZE values; the rest are summed
-    as they come.  A table is never emptied, but it leaves with its pair.
+    as they come.
     """
-    n, terms = expr.universe.bit_count(), expr.terms
-    columns, table = _seed_tables(seed, expr.universe)
+    n, terms, pair = expr.universe.bit_count(), expr.terms, (seed, expr.universe)
+    table = _TERM_VALUES.get(pair)
     if table:
         # A missed term reads 0, which no value is: every weight is at least
         # 1, and an atom of depth <= n has an index tuple at N = n + 1.
@@ -191,8 +180,9 @@ def residual_report(expr: Expression, seed: int) -> int:
             return value
         missed = list(map(not_, known))
         keys, coeffs = list(compress(terms, missed)), list(compress(terms.values(), missed))
-    else:  # an empty table misses every term
+    else:  # without a table, every term misses
         value, keys, coeffs = 0, terms, terms.values()
+    columns = _columns(*pair)
     # Masks, not (term, coefficient) pairs: a list of new tuples would wake
     # the cyclic garbage collector on a large input.
     full = [len(term[0]) == n for term in keys]
@@ -207,7 +197,7 @@ def residual_report(expr: Expression, seed: int) -> int:
         map(mul, map(heads.__getitem__, map(first, atoms)), map(tails.__getitem__, map(second, atoms))),
         (math.prod(map(values.get, term)) for term in compress(keys, rest)),
     )
-    room = TERM_TABLE_SIZE - sum(len(held) for _, held in _SEED_TABLES.values())
-    kept = list(islice(computed, room))
-    table.update(zip(chain(compress(keys, full), compress(keys, rest)), kept))
+    kept = list(islice(computed, TERM_TABLE_SIZE - sum(map(len, _TERM_VALUES.values()))))
+    if kept:
+        _TERM_VALUES.setdefault(pair, {}).update(zip(chain(compress(keys, full), compress(keys, rest)), kept))
     return value + sum(map(mul, chain(compress(coeffs, full), compress(coeffs, rest)), chain(kept, computed)))

@@ -284,7 +284,7 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
     Legal text is read by `_scan`; anything it does not accept goes to the
     token parser and `validate_legal_term`, the one source of error messages.
     """
-    declared = full_universe(universe) if universe else None
+    declared = full_universe(universe) if universe is not None else None
     if text.strip() == "0":
         return Expression(declared or 0, {})
     scanned = _scan(text, declared)

@@ -19,15 +19,11 @@ from .indexsets import indices_of
 UnorderedPartition = tuple[int, ...]  # parts sorted by smallest element
 
 
-def partition_sort_key(parts: tuple[int, ...]):
-    """The fixed enumeration order: part count, then index tuples."""
-    return (len(parts), tuple(indices_of(m) for m in parts))
-
-
 def partition_order(
     partitions: Iterable[tuple[int, ...]],
 ) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], dict[int, int]]:
-    """A sort key that orders `partitions` as `partition_sort_key` does.
+    """A sort key that orders `partitions` in the fixed enumeration order:
+    part count, then the parts' index tuples.
 
     Returns the key and the rank of each distinct block of `partitions`:
     its position when those blocks are sorted by index tuple.  The rank is
@@ -45,8 +41,8 @@ def unordered_set_partitions(ground: int) -> list[UnorderedPartition]:
     """All unordered set partitions of `ground`, parts sorted by min element."""
     if not ground:
         raise ValueError("empty ground set")
-    singles = [1 << (i - 1) for i in indices_of(ground)]
-    return sorted(coarsenings(singles), key=partition_sort_key)
+    partitions = coarsenings([1 << (i - 1) for i in indices_of(ground)])
+    return sorted(partitions, key=partition_order(partitions)[0])
 
 
 def coarsenings(blocks: Iterable[int]) -> list[UnorderedPartition]:
@@ -78,7 +74,6 @@ def bell_count(n: int) -> int:
 
 __all__ = [
     "UnorderedPartition",
-    "partition_sort_key",
     "partition_order",
     "unordered_set_partitions",
     "coarsenings",

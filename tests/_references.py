@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
 Each is a slow, direct statement of something the engine computes another
-way: the one-factor nested sum, the ordered set partitions and their count,
-a partition check, and seeded random assignments and legal expressions.
+way: the one-factor nested sum, the partition order, the ordered set
+partitions and their count, a partition check, and seeded random
+assignments and legal expressions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 from mzvident.algebra import Expression, ZetaAtom
 from mzvident.indexsets import indices_of
 from mzvident.numeric import Assignment, term_values
-from mzvident.partitions import partition_sort_key, unordered_set_partitions
+from mzvident.partitions import unordered_set_partitions
 
 
 def eval_zeta_truncated(exponents: Sequence[float], n_trunc: int) -> float:
@@ -56,6 +57,11 @@ def eval_expression(expr: Expression, assign: Assignment, n_trunc: int) -> float
 def random_assignment(universe: int, rng: random.Random) -> dict[int, float]:
     """Seeded draw of exponents from (1.1, 3.0] for every universe variable."""
     return {j: 1.1 + 1.9 * rng.random() for j in indices_of(universe)}
+
+
+def partition_sort_key(parts: tuple[int, ...]):
+    """The fixed enumeration order: part count, then index tuples."""
+    return (len(parts), tuple(indices_of(m) for m in parts))
 
 
 def ordered_set_partitions(ground: int) -> list[tuple[int, ...]]:

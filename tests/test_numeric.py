@@ -14,8 +14,9 @@ from mzvident.algebra import Expression, is_partition_identity, normalize, stuff
 from mzvident.identities import hoffman_identity, stuffle_identity
 from mzvident.indexsets import SEED_TABLE_SIZE, TERM_TABLE_SIZE, full_universe, indices_of, mask_of
 from mzvident.numeric import (
-    _SEED_TABLES,
+    _TERM_VALUES,
     NUMERIC_BUDGET_FLOATS,
+    _columns,
     atom_values,
     residual_report,
     residuals,
@@ -365,9 +366,10 @@ def brute_exact(expr, seed):
 
 
 def cold_vote(expr, seed):
-    """The vote with every term table emptied first, so each of its values
-    is computed, not read from an earlier call."""
-    _SEED_TABLES.clear()
+    """The vote with every term table and the weights emptied first, so
+    each of its values is computed, not read from an earlier call."""
+    _TERM_VALUES.clear()
+    _columns.cache_clear()
     return residual_report(expr, seed)
 
 
@@ -471,7 +473,8 @@ def test_vote_does_not_depend_on_call_history():
         for universe in universes
     ]
     exact = [brute_exact(expr, seed) for seed, expr in cases]
-    _SEED_TABLES.clear()
+    _TERM_VALUES.clear()
+    _columns.cache_clear()
     order = list(range(len(cases)))
     for order in (order[::2] + order[1::2], order[::-1]):
         for i in order:
@@ -494,42 +497,47 @@ def test_warm_votes_equal_cold_ones():
     cases = [(rng.randrange(3), random_expression(u, rng, max_terms=12)) for u in universes for _ in range(4)]
     cases += [(seed, a + b) for (seed, a), (_, b) in zip(cases[::2], cases[1::2])]
     cold = [cold_vote(expr, seed) for seed, expr in cases]
-    _SEED_TABLES.clear()
+    _TERM_VALUES.clear()
+    _columns.cache_clear()
     for _ in range(2):
         for (seed, expr), value in zip(cases, cold):
             assert residual_report(expr, seed) == value, (seed, expr.universe)
 
 
-def test_term_tables_keep_the_first_values_up_to_the_bound():
+def test_term_tables_keep_the_first_values_up_to_the_bound(monkeypatch):
     # H_7 has 5,040 full-depth terms and 877 others.  At seed 0 all 5,917
     # are stored; at seed 1 the room left, 2,275, takes the first full-depth
-    # terms in term order; at seed 2, or over another universe, nothing more.
+    # terms in term order; at seed 2, or over another universe, nothing, and
+    # those pairs get no table.
     h7, h5 = hoffman_identity(7), hoffman_identity(5)
-    _SEED_TABLES.clear()
-    for seed in range(3):
+    assert cold_vote(h7, 0) == 0
+    for seed in (1, 2):
         assert residual_report(h7, seed) == 0
     assert residual_report(h5, 0) == 0
-    u7, u5 = h7.universe, h5.universe
-    tables = {pair: table for pair, (_, table) in _SEED_TABLES.items()}
-    assert list(tables) == [(0, u7), (1, u7), (2, u7), (0, u5)]
+    u7 = h7.universe
+    assert list(_TERM_VALUES) == [(0, u7), (1, u7)]
     full = [term for term in h7.terms if len(term[0]) == 7]
-    assert list(tables[0, u7]) == full + [term for term in h7.terms if len(term[0]) < 7]
-    assert list(tables[1, u7]) == full[: TERM_TABLE_SIZE - len(h7.terms)]
-    assert tables[2, u7] == tables[0, u5] == {}
+    assert list(_TERM_VALUES[0, u7]) == full + [term for term in h7.terms if len(term[0]) < 7]
+    assert list(_TERM_VALUES[1, u7]) == full[: TERM_TABLE_SIZE - len(h7.terms)]
     rng = random.Random(79)
     for seed in (0, 1):
-        for term in rng.sample(list(tables[seed, u7]), 20):
-            assert tables[seed, u7][term] == brute_exact(Expression(u7, {term: 1}), seed)
-    # The tables stay full while their pairs are used: a warm vote that
-    # misses some terms stores none of them.
+        for term in rng.sample(list(_TERM_VALUES[seed, u7]), 20):
+            assert _TERM_VALUES[seed, u7][term] == brute_exact(Expression(u7, {term: 1}), seed)
+    # The tables stay full: a warm vote that misses some terms stores none
+    # of them, and votes at more than SEED_TABLE_SIZE further seeds (so the
+    # weights of seed 0 are dropped) store nothing and create no table.
     perturbed = h7 + Expression(u7, {((blk(1, 2, 3), blk(4, 5, 6, 7)),): 1})
     assert residual_report(perturbed, 0) == brute_exact(perturbed, 0)
-    assert list(_SEED_TABLES)[-1] == (0, u7)  # the pair used last
-    assert sum(len(table) for _, table in _SEED_TABLES.values()) == TERM_TABLE_SIZE
-    # A pair dropped past SEED_TABLE_SIZE takes its values with it, and
-    # the room they leave is filled again.
-    for seed in range(3, 3 + SEED_TABLE_SIZE):
+    stored = {pair: dict(table) for pair, table in _TERM_VALUES.items()}
+    assert sum(map(len, stored.values())) == TERM_TABLE_SIZE
+    for seed in range(3, 4 + SEED_TABLE_SIZE):
         assert residual_report(h5, seed) == 0
-    assert (0, u7) not in _SEED_TABLES and (1, u7) not in _SEED_TABLES
-    assert residual_report(h7, 3) == 0
-    assert len(_SEED_TABLES[3, u7][1]) == len(h7.terms)
+    assert _TERM_VALUES == stored and list(_TERM_VALUES) == [(0, u7), (1, u7)]
+    # Seed 0's values are still read: a vote they cover computes nothing.
+    def computed(*args):
+        raise AssertionError("a stored value was computed again")
+
+    monkeypatch.setattr(mzvident.numeric, "atom_values", computed)
+    monkeypatch.setattr(mzvident.numeric, "_columns", computed)
+    assert residual_report(h7, 0) == 0
+    assert residual_report(h7.scale(3) - h7, 0) == 0

@@ -36,10 +36,14 @@ def test_removed_names_are_gone():
     assert not hasattr(mzvident.identities, "NUMERIC_TRIALS")
     assert not hasattr(mzvident.numeric, "ROUNDING_TOL")
     assert not hasattr(mzvident.parsing, "_BLOCK_MASKS")
+    for name in ("_SEED_TABLES", "_seed_tables"):
+        assert not hasattr(mzvident.numeric, name)
     # Test references now live in tests/_references.py.
     moved = {
         mzvident.numeric: ("eval_zeta_truncated", "eval_expression", "random_assignment"),
-        mzvident.partitions: ("check_partition", "fubini_count", "ordered_set_partitions", "OrderedPartition"),
+        mzvident.partitions: (
+            "check_partition", "fubini_count", "ordered_set_partitions", "OrderedPartition", "partition_sort_key"
+        ),
         mzvident.identities: ("random_legal_term", "random_expression"),
     }
     for module, names in moved.items():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import random_expression
+from _references import partition_sort_key, random_expression
 import mzvident.parsing
 from mzvident.algebra import (
     CanonicalForm,
@@ -37,7 +37,7 @@ from mzvident.parsing import (
     parse_arglist,
     serialize,
 )
-from mzvident.partitions import partition_order, partition_sort_key
+from mzvident.partitions import partition_order
 
 
 def blk(*idx):
@@ -504,6 +504,11 @@ def test_term_table_is_bounded():
 def test_parse_declared_universe_must_cover():
     with pytest.raises(ParseError, match="variable missing"):
         parse("zeta(s1)", universe=2)
+    # A declared size outside 1..63 is refused, 0 included.
+    for text in ("zeta(s1)", "0"):
+        for size in (0, -1, 64):
+            with pytest.raises(ValueError, match=rf"^universe size {size} out of range 1\.\.63$"):
+                parse(text, universe=size)
 
 
 def test_parse_arglist():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from _references import check_partition, fubini_count, ordered_set_partitions
+from _references import check_partition, fubini_count, ordered_set_partitions, partition_sort_key
 from mzvident.indexsets import full_universe, indices_of, mask_of, min_index
 from mzvident.partitions import (
     bell_count,
@@ -206,3 +206,6 @@ def test_deterministic_order():
     # part-count major
     sizes = [len(p) for p in a]
     assert sizes == sorted(sizes)
+    for ground in [full_universe(n) for n in range(1, 8)] + [mask_of([2, 5, 7]), mask_of([1, 3, 4, 6])]:
+        got = unordered_set_partitions(ground)
+        assert got == sorted(got, key=partition_sort_key)
