@@ -129,12 +129,6 @@ class Expression(_Frozen):
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "terms", {} if terms is None else terms)
 
-    @staticmethod
-    def build(universe: int, entries: Iterable[tuple[int, Iterable[ZetaAtom]]]) -> "Expression":
-        """Sum coeff * term pairs, validating each term as it is drawn."""
-        pairs = ((validate_legal_term(atoms, universe), coeff) for coeff, atoms in entries)
-        return Expression(universe, _add_pairs({}, pairs))
-
     def __add__(self, other: "Expression") -> "Expression":
         if self.universe != other.universe:
             raise LegalityError("universe mismatch")

@@ -18,7 +18,7 @@ from .identities import METHODS, hoffman_identity, verify
 from .indexsets import MAX_INDEX, full_universe, indices_of, min_index
 from .numeric import DEFAULT_TRUNCATION, residuals, term_values
 from .parsing import atom_text, parse, parse_arglist, serialize
-from .ratfun import kronecker_zero_test, rational_term_of
+from .ratfun import kronecker_zero_test, rational_terms_of_expression
 
 
 class CliError(Exception):
@@ -117,7 +117,7 @@ def _cmd_hoffman(args) -> int:
 def _cmd_rational(args) -> int:
     expr = _load_expression(args.expr)
     pairs = expr.sorted_terms()
-    terms = [(coeff, rational_term_of(term)) for term, coeff in pairs]
+    terms = rational_terms_of_expression(pairs)
     ok = kronecker_zero_test(terms) if args.check else None  # a refusal writes nothing
     for (term, coeff), (_, factors) in zip(pairs, terms):
         rendered = " ".join(

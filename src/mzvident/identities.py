@@ -19,6 +19,7 @@ from .algebra import (
     _Frozen,
     _add_pairs,
     atom_support,
+    canonical_atoms,
     is_partition_identity,
     stuffle_product,
 )
@@ -67,19 +68,16 @@ class IdentityReport(_Frozen):
 
 
 def stuffle_identity(u: ZetaAtom, v: ZetaAtom) -> Expression:
-    """zeta(u)*zeta(v) minus its stuffle expansion (zero by construction)."""
+    """zeta(u)*zeta(v) minus its stuffle expansion (zero by construction).
+    `stuffle_product` checks both operands, so the terms are legal by
+    construction and summed without validation: the product term with its
+    atoms sorted by smallest index, then each word."""
     if not u and not v:
         return Expression(0, {})
-    universe = atom_support(u) | atom_support(v)
     product = stuffle_product(u, v)
-    entries: list[tuple[int, tuple[ZetaAtom, ...]]] = []
-    if u and v:
-        entries.append((1, (u, v)))
-    elif u or v:
-        entries.append((1, (u or v,)))
-    for w, mult in product.items():
-        entries.append((-mult, (w,)))
-    return Expression.build(universe, entries)
+    words = (((w,), -mult) for w, mult in product.items())
+    terms = _add_pairs({canonical_atoms(filter(None, (u, v))): 1}, words)
+    return Expression(atom_support(u) | atom_support(v), terms)
 
 
 def hoffman_identity(n: int) -> Expression:

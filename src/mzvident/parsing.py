@@ -65,11 +65,11 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # Every non-space character starts some match, so the matches tile the
-    # text up to its trailing whitespace; an error is reported at the end
-    # of the previous token.
+    # Every non-space character starts some match, so the matches (as in
+    # `_scan`) tile the text up to its trailing whitespace; an error is
+    # reported at the end of the previous token.
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in iter(_TOKEN_RE.scanner(text).match, None):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
@@ -239,11 +239,13 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
     def pairs():  # (key, coeff) per term, else ValueError
         nonlocal universe
         pos = 0
-        for term in _TERM_RE.finditer(text):
+        # Each term is matched where the last ended, so the terms tile the
+        # text.  Not `finditer`: each call looks up `search` by a new name
+        # string, which CPython 3.11's type-attribute cache then keeps.
+        for term in iter(_TERM_RE.scanner(text).match, None):
             sign, digits, body = term.groups()
-            # Terms tile the text; only '-' may lead the first term, and
-            # every later one needs a sign.
-            if term.start() != pos or sign == ("" if pos else "+"):
+            # Only '-' may lead the first term, and every later one needs a sign.
+            if sign == ("" if pos else "+"):
                 raise ValueError
             entry = known(body)
             if entry is None:
@@ -281,15 +283,18 @@ def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict
 def parse(text: str, universe: Optional[int] = None) -> Expression:
     """Parse expression text; `universe` declares the variable count n.
 
-    Legal text is read by `_scan`; anything it does not accept goes to the
-    token parser and `validate_legal_term`, the one source of error messages.
+    `_scan` is the one reader of legal text.  Only text it refuses is checked
+    for the bare "0", then handed to the token parser and
+    `validate_legal_term`, the one source of error messages, which raise the
+    first ParseError.  If they find no fault the scanner refused legal text,
+    a defect, and RuntimeError is raised.
     """
     declared = full_universe(universe) if universe is not None else None
-    if text.strip() == "0":
-        return Expression(declared or 0, {})
     scanned = _scan(text, declared)
     if scanned is not None:
         return Expression(*scanned)
+    if text.strip() == "0":
+        return Expression(declared or 0, {})
     entries, starts = _Parser(text).parse_expr()
     supports = [atom_support(sum(atoms, ())) for _, atoms in entries]  # all blocks' union
     inferred = supports[0]
@@ -302,7 +307,7 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
             validate_legal_term(atoms, universe)
         except LegalityError as e:
             raise ParseError(str(e), pos) from None
-    return Expression.build(universe, entries)
+    raise RuntimeError("the term scanner refused legal text")
 
 
 def block_text(block: int) -> str:

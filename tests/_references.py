@@ -2,8 +2,8 @@
 
 Each is a slow, direct statement of something the engine computes another
 way: the one-factor nested sum, the partition order, the ordered set
-partitions and their count, a partition check, and seeded random
-assignments and legal expressions.
+partitions and their count, a partition check, a validating expression
+builder, and seeded random assignments and legal expressions.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import math
 import random
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from mzvident.algebra import Expression, ZetaAtom
+from mzvident.algebra import Expression, ZetaAtom, _add_pairs, validate_legal_term
 from mzvident.indexsets import indices_of
 from mzvident.numeric import Assignment, term_values
 from mzvident.partitions import unordered_set_partitions
@@ -101,6 +101,12 @@ def check_partition(parts: tuple[int, ...], ground: int) -> None:
         raise ValueError("parts do not cover the ground set")
 
 
+def build(universe: int, entries: Iterable[tuple[int, Iterable[ZetaAtom]]]) -> Expression:
+    """Sum coeff * term pairs, validating each term as it is drawn."""
+    pairs = ((validate_legal_term(atoms, universe), coeff) for coeff, atoms in entries)
+    return Expression(universe, _add_pairs({}, pairs))
+
+
 def random_legal_term(universe: int, rng: random.Random) -> tuple[ZetaAtom, ...]:
     """Seeded uniform-ish legal term: pick an unordered partition, then an
     ordered subpartition of each part."""
@@ -120,4 +126,4 @@ def random_expression(
     for _ in range(rng.randint(1, max_terms)):
         coeff = rng.randint(*coeff_range)
         entries.append((coeff, random_legal_term(universe, rng)))
-    return Expression.build(universe, entries)
+    return build(universe, entries)

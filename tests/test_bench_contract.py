@@ -7,6 +7,7 @@ per-layer metrics cannot silently read 0.  They only read perfbench/.
 """
 
 import importlib
+import itertools
 import sys
 from collections import Counter
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import mzvident.identities as identities
+import mzvident.parsing
 from mzvident.parsing import parse
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,3 +73,18 @@ def test_hoffman_seed_61_op_votes_agree():
     assert op.label is False and op.props["n"] == 7
     report = identities.verify(parse(op.text), op.methods)
     assert report.per_method == {"canonical": False, "numeric": False}
+
+
+def test_every_op_text_takes_the_scanner(monkeypatch):
+    # The token parser only explains errors, so every op text the benchmark
+    # hands to `parse` must be read by the scanner alone.
+    def refuse(text):
+        raise AssertionError("token parser reached on a benchmark op text")
+
+    monkeypatch.setattr(mzvident.parsing, "_Parser", refuse)
+    workloads = _perfbench_module("workloads")
+    for workload in workloads.WORKLOADS.values():
+        for seed in (1, 2):
+            for ops in itertools.islice(workload().rounds(seed), 2):
+                for op in ops:
+                    assert parse(op.text).terms, (workload.name, seed, op.command)

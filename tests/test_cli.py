@@ -9,6 +9,7 @@ import pytest
 import mzvident.cli
 import mzvident.identities
 import mzvident.numeric
+import mzvident.parsing
 from mzvident.cli import cli_main
 from mzvident.identities import hoffman_identity, verify
 from mzvident.parsing import parse, serialize
@@ -76,6 +77,13 @@ def test_vote_refuting_an_identity_is_an_internal_error(capsys, monkeypatch, nam
     # A not-identity that the vote also refutes is no disagreement.
     code, out, _ = run(capsys, "verify", "zeta(s1)*zeta(s2) - zeta(s1,s2)", "--seed", "7")
     assert code == 1 and f"method {method}: not-identity" in out
+
+
+def test_scanner_refusing_legal_text_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(mzvident.parsing, "_scan", lambda text, declared=None: None)
+    code, out, err = run(capsys, "verify", EXAMPLE_TEXT)
+    assert (code, out) == (2, "")
+    assert "error: internal error: RuntimeError" in err
 
 
 def test_closed_stdout_exits_two_quietly():

@@ -7,13 +7,13 @@ from math import factorial
 
 import pytest
 
-from _references import random_assignment, random_expression
+from _references import build, random_assignment, random_expression
 import mzvident.identities
 from mzvident.algebra import (
     Expression,
-    LegalityError,
     is_partition_identity,
     normalize,
+    stuffle_product,
 )
 from mzvident.identities import (
     IdentityReport,
@@ -61,6 +61,32 @@ def test_stuffle_identity_all_small_shapes():
             assert is_partition_identity(stuffle_identity(u, v))[0], (m, total)
 
 
+def random_atom(indices, rng):
+    """The indices, in order, cut into blocks of one to three variables."""
+    blocks = []
+    while indices:
+        k = rng.randint(1, min(3, len(indices)))
+        blocks.append(mask_of(indices[:k]))
+        indices = indices[k:]
+    return tuple(blocks)
+
+
+def test_stuffle_identity_equals_validated_build():
+    # The terms skip validation, so they must already be the canonical legal
+    # terms of the reference `build`, with the same coefficients and dict order.
+    assert stuffle_identity((), ()) == Expression(0, {})
+    rng = random.Random(29)
+    for _ in range(300):
+        indices = rng.sample(range(1, 12), rng.randint(1, 7))
+        cut = rng.randint(0, len(indices))
+        u, v = random_atom(indices[:cut], rng), random_atom(indices[cut:], rng)
+        entries = [(1, (u, v) if u and v else (u or v,))]
+        entries += [(-mult, (w,)) for w, mult in stuffle_product(u, v).items()]
+        got, want = stuffle_identity(u, v), build(mask_of(indices), entries)
+        assert got == want, (u, v)
+        assert list(got.terms.items()) == list(want.terms.items()), (u, v)
+
+
 # --- Hoffman's identity ----------------------------------------------------
 
 
@@ -97,8 +123,8 @@ def test_hoffman_identity_holds_up_to_six():
 
 
 def validated_hoffman(n):
-    """Hoffman's identity summed through Expression.build, which validates
-    and canonicalizes every term."""
+    """Hoffman's identity summed through the reference `build`, which
+    validates and canonicalizes every term."""
     universe = full_universe(n)
     entries = [(1, (tuple(blk(j) for j in perm),))
                for perm in itertools.permutations(range(1, n + 1))]
@@ -107,7 +133,7 @@ def validated_hoffman(n):
         for p in parts:
             coeff *= factorial(p.bit_count() - 1)
         entries.append((-coeff, tuple((p,) for p in parts)))
-    return Expression.build(universe, entries)
+    return build(universe, entries)
 
 
 def test_hoffman_identity_equals_validated_build():
@@ -127,10 +153,8 @@ def test_hoffman_out_of_range():
 
 
 def test_verify_never_sees_an_empty_term():
-    # The library's one builder refuses an empty term, the parser cannot
-    # express one, and the empty stuffle identity has no terms at all.
-    with pytest.raises(LegalityError, match="empty term"):
-        verify(Expression.build(0, [(3, ())]))
+    # The parser cannot express an empty term, and the empty stuffle
+    # identity has no terms at all.
     for text in ("", "  ", "2*"):
         with pytest.raises(ParseError):
             verify(parse(text))

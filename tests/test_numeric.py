@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import eval_expression, eval_zeta_truncated, random_assignment, random_expression
+from _references import build, eval_expression, eval_zeta_truncated, random_assignment, random_expression
 import mzvident.numeric
 from mzvident.algebra import Expression, is_partition_identity, normalize, stuffle_product
 from mzvident.identities import hoffman_identity, stuffle_identity
@@ -202,7 +202,7 @@ def legal_expressions(draw):
                 atoms.append([blk(j)])
         coeff = draw(st.integers(-(10**6), 10**6))
         entries.append((coeff, [tuple(a) for a in atoms]))
-    return Expression.build(full_universe(n), entries)
+    return build(full_universe(n), entries)
 
 
 @given(
@@ -441,13 +441,13 @@ def full_depth_vote_cases():
         if n > 1:
             cut = rng.randrange(1, n)
             entries.append((coeff(), [tuple(blk(j) for j in order[:cut]), (blk(*order[cut:]),)]))
-        cases.append(hoffman_identity(n).scale(coeff()) + Expression.build(full_universe(n), entries))
+        cases.append(hoffman_identity(n).scale(coeff()) + build(full_universe(n), entries))
     for indices in ([2, 5, 7], [1, 3, 4, 6]):
         entries = [(coeff(), [tuple(map(blk, p))]) for p in itertools.permutations(indices)]
         entries.append((coeff(), [(blk(indices[0]),), (blk(*indices[1:]),)]))
-        cases.append(Expression.build(mask_of(indices), entries))
+        cases.append(build(mask_of(indices), entries))
     atoms = rng.sample(list(itertools.permutations([blk(j) for j in range(1, 6)])), 40)
-    cases.append(Expression.build(full_universe(5), [(coeff(), [a]) for a in atoms]))
+    cases.append(build(full_universe(5), [(coeff(), [a]) for a in atoms]))
     return cases
 
 

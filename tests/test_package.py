@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import mzvident
+import mzvident.algebra
 import mzvident.identities
 import mzvident.indexsets
 import mzvident.numeric
@@ -38,6 +39,8 @@ def test_removed_names_are_gone():
     assert not hasattr(mzvident.parsing, "_BLOCK_MASKS")
     for name in ("_SEED_TABLES", "_seed_tables"):
         assert not hasattr(mzvident.numeric, name)
+    # The reference builder `build` now lives in tests/_references.py.
+    assert not hasattr(mzvident.algebra.Expression, "build")
     # Test references now live in tests/_references.py.
     moved = {
         mzvident.numeric: ("eval_zeta_truncated", "eval_expression", "random_assignment"),

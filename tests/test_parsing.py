@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import partition_sort_key, random_expression
+from _references import build, partition_sort_key, random_expression
 import mzvident.parsing
 from mzvident.algebra import (
     CanonicalForm,
@@ -221,7 +221,7 @@ def token_soup(draw):
 
 
 def slow_parse(text, declared):
-    """(universe, terms) from the token parser and Expression.build, None on any error."""
+    """(universe, terms) from the token parser and the reference `build`, None on any error."""
     try:
         entries, _ = _Parser(text).parse_expr()
     except ParseError:
@@ -232,7 +232,7 @@ def slow_parse(text, declared):
     if len(supports) != 1:
         return None
     try:
-        expr = Expression.build(declared or supports.pop(), entries)
+        expr = build(declared or supports.pop(), entries)
     except LegalityError:
         return None
     return expr.universe, expr.terms
@@ -375,6 +375,18 @@ def test_valid_text_never_reaches_token_parser(monkeypatch):
         spaced = text.replace("(", " ( ").replace(",", "\t,\n").replace("*", " * ")
         assert parse(f" \n{spaced}\t ") == expr
         assert parse(text.replace(" ", "")) == expr
+
+
+def test_scanner_refusing_legal_text_is_an_internal_error(monkeypatch):
+    # The token parser only explains why the scanner refused a text; a text
+    # it finds no fault in means the scanner is at fault, not the input.
+    monkeypatch.setattr(mzvident.parsing, "_scan", lambda text, declared=None: None)
+    for text in ("zeta(s1)*zeta(s2) - zeta(s1,s2)", " 2*zeta(s1+s2) ", "zeta(s1) - zeta(s1)"):
+        with pytest.raises(RuntimeError, match="refused legal text"):
+            parse(text)
+    assert parse(" 0 ").is_zero()  # the literal is read once the scanner refuses
+    with pytest.raises(ParseError, match="variable reused"):
+        parse("zeta(s1,s1)")
 
 
 def test_long_whitespace_scanned_in_linear_time():
