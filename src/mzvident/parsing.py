@@ -20,7 +20,8 @@ see README for the schema.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 from .algebra import (
@@ -65,9 +66,9 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    # Every non-space character starts some match, so the matches (as in
-    # `_scan`) tile the text up to its trailing whitespace; an error is
-    # reported at the end of the previous token.
+    # Every non-space character starts some match, so the matches tile the
+    # text up to its trailing whitespace; an error is reported at the end of
+    # the previous token.
     tokens = []
     for m in iter(_TOKEN_RE.scanner(text).match, None):
         kind = m.lastgroup
@@ -170,10 +171,6 @@ class _Parser:
         return entries, starts
 
 
-# One term of whitespace-free text and the sign before it (group 1): an
-# optional coefficient (group 2), then its factors (group 3), whose argument
-# lists `arg {',' arg}` are checked block by block: `arg := var {'+' var}`.
-_TERM_RE = re.compile(r"([+-]?)(?:([0-9]+)\*)?(zeta\([^)]*\)(?:\*zeta\([^)]*\))*)")
 _ARG_RE = re.compile(r"s[0-9]+(?:\+s[0-9]+)*")
 # A space, in text whose whitespace runs are single spaces, that has neither
 # whitespace nor one of `+-*(),` on either side: removing it joins two tokens.
@@ -191,104 +188,164 @@ class _BlockMasks(dict):
         return mask
 
 
-# One table for every parse: a term's factor text (`_TERM_RE` group 3) -> its
-# (key, support), read and checked once per process; see `_scan`.
+class _Factors(dict):
+    """Argument list text -> (lowest bit, atom, blocks' sum), its blocks read
+    through `mask` on first lookup, else ValueError and nothing stored."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: Callable[[str], int]):
+        self.mask = mask
+
+    def __missing__(self, arglist: str) -> tuple[int, ZetaAtom, int]:
+        atom = tuple(map(self.mask, arglist.split(",")))
+        support = sum(atom)
+        factor = self[arglist] = support & -support, atom, support
+        return factor
+
+
+class _Coefficients(dict):
+    """A term's sign and coefficient text -> its signed coefficient, read on
+    first lookup, else ValueError.  Made holding the unit prefixes `+`, `-`
+    and the empty one; any other is an integer and a `*`, and in text of
+    `+-*0123456789` alone, int() reads exactly `[+-]?[0-9]+`."""
+
+    def __missing__(self, prefix: str) -> int:
+        if not prefix.endswith("*"):
+            raise ValueError(prefix)
+        coeff = self[prefix] = int(prefix[:-1])
+        return coeff
+
+
+# One table for every parse: a term's factor text -> its (key, support), read
+# and checked once per process; see `_scan`.
 _TERM_KEYS: dict[str, tuple[tuple[ZetaAtom, ...], int]] = {}
+
+# Characters of text a window holds before its cut; while it is read, its
+# pieces and bodies take a few times that.  8, 16 and 64 KiB windows read the
+# hoffman benchmark's texts equally fast within noise (0.90-1.03 ms per op),
+# and at 16 KiB a warm parse of 37*H_7 peaks at 0.55 MB traced (64 KiB: 0.93
+# MB) and a cold one at 2.10 MB (64 KiB: 2.21 MB; tests allow 2.3 MB).
+_WINDOW = 1 << 14
 
 
 def _scan(text: str, declared: Optional[int] = None) -> Optional[tuple[int, dict]]:
-    """The universe and term dict of legal expression text, one term per match.
+    """The universe and term dict of legal expression text, read a window at a time.
 
     Returns None, and never raises, unless the text is a well-formed
     expression with indices in 1..63 whose every term uses each variable of
     the universe (`declared`, else the first term's) exactly once; the token
-    parser and `validate_legal_term` then say what is wrong.  Whitespace is
-    removed once, unless that would join two tokens (`s 1`, `ze ta`).  A
-    term's blocks add without a carry, one bit per variable, iff disjoint,
-    so their sum must have a bit per `s` and equal the universe.  A product
-    term sums its factors; each argument list and each block text is read
-    once per call (`factor`, `_BlockMasks`).
+    parser and `validate_legal_term` then say what is wrong.
 
-    A term's factor text becomes its key and support once per process
-    (`_TERM_KEYS`, the one table kept between calls), stored only once its
-    blocks are found disjoint; its tiling, sign, universe and coefficient
-    are checked on every call.  The table keeps the first TERM_TABLE_SIZE
-    texts it meets and is never emptied.  An entry is a term's text with its
-    key; text with a zero-padded index (`s01`) is not stored, so no entry
-    outgrows a product of 63 one-variable factors (3.7 KB; 29 MB for a full
-    table, 1.9 MB full of depth-8 terms).  A miss costs a lookup and a
-    store: 7*H_5 to H_8 parse 3-12% slower with the table empty than with
-    no table.  A hit skips the read, so a warm 7*H_7 parses in under half
-    the time.
+    A window is the next _WINDOW characters and on to a `)` that a sign
+    follows (across a few whitespace characters), or to the end.  Its
+    whitespace is removed, unless that would join two tokens (`s 1`,
+    `ze ta`), and it is split into pieces before each sign that follows a
+    `)`: in legal text that is where one term ends and the next starts.  A
+    piece is a prefix, the sign and coefficient (`[+-]?([0-9]+[*])?`, read
+    once per distinct prefix per call, `_Coefficients`), then a body, the
+    factor text.  Only the text's first piece may lack a sign, and it may not
+    start with `+`.  Each window is split, looked up, converted and checked
+    against the universe in whole-window passes, so per-term Python runs
+    only for bodies the term table lacks.  The terms' keys and coefficients
+    are kept in text order and summed into the term dict in one pass at the
+    end, or one by one if a key repeats or a coefficient is 0.
+
+    A body becomes its key and support once per process (`_TERM_KEYS`, the
+    one table kept between calls), stored only once read in full.  A body
+    the table lacks is `zeta(` ... `)` with its argument lists between
+    `)*zeta(`, each checked block by block (`factor`, `_BlockMasks`, each
+    read once per call), so a stray character anywhere fails a block.  Its
+    blocks add without a carry, one bit per variable, iff disjoint, so their
+    sum must have a bit per `s`; every term's sum must equal the universe.
+    The table keeps the first TERM_TABLE_SIZE bodies it meets and is never
+    emptied.  A body with a zero-padded index (`s01`) is not stored, so no
+    entry outgrows a product of 63 one-variable factors (3.7 KB; 29 MB for a
+    full table, 1.9 MB full of depth-8 terms).
     """
-    text = " ".join(text.split())
-    if _GLUE_RE.search(text):
-        return None
-    text = text.replace(" ", "")
     mask = _BlockMasks().__getitem__
+    factor = _Factors(mask).__getitem__
+    coefficient = _Coefficients({"": 1, "+": 1, "-": -1}).__getitem__
 
-    @lru_cache(maxsize=None)
-    def factor(arglist: str) -> tuple[int, ZetaAtom, int]:  # (lowest bit, atom, blocks' sum)
-        atom = tuple(map(mask, arglist.split(",")))
-        support = sum(atom)
-        return support & -support, atom, support
+    def read(body: str) -> tuple[tuple[ZetaAtom, ...], int]:  # (key, support)
+        if not (body.startswith("zeta(") and body.endswith(")")):
+            raise ValueError
+        if ")*" in body:
+            atoms = list(map(factor, body[5:-1].split(")*zeta(")))
+            support = sum([s for _, _, s in atoms])
+            # Disjoint atoms' lowest bits order them by smallest index.
+            key = tuple([atom for _, atom, _ in sorted(atoms)])
+        else:
+            atom = tuple(map(mask, body[5:-1].split(",")))
+            support, key = sum(atom), (atom,)
+        if support.bit_count() != body.count("s"):
+            raise ValueError
+        # A zero-padded index (s01) has no length bound.
+        if len(_TERM_KEYS) < TERM_TABLE_SIZE and "s0" not in body:
+            _TERM_KEYS[body] = key, support
+        return key, support
 
     universe = declared
-    known = _TERM_KEYS.get
-
-    def pairs():  # (key, coeff) per term, else ValueError
-        nonlocal universe
-        pos = 0
-        # Each term is matched where the last ended, so the terms tile the
-        # text.  Not `finditer`: each call looks up `search` by a new name
-        # string, which CPython 3.11's type-attribute cache then keeps.
-        for term in iter(_TERM_RE.scanner(text).match, None):
-            sign, digits, body = term.groups()
-            # Only '-' may lead the first term, and every later one needs a sign.
-            if sign == ("" if pos else "+"):
-                raise ValueError
-            entry = known(body)
-            if entry is None:
-                if ")*" in body:
-                    atoms = list(map(factor, body[5:-1].split(")*zeta(")))
-                    support = sum([s for _, _, s in atoms])
-                    # Disjoint atoms' lowest bits order them by smallest index.
-                    key = tuple([atom for _, atom, _ in sorted(atoms)])
-                else:
-                    atom = tuple(map(mask, body[5:-1].split(",")))
-                    support, key = sum(atom), (atom,)
-                if support.bit_count() != body.count("s"):
-                    raise ValueError
-                # A zero-padded index (s01) has no length bound.
-                if len(_TERM_KEYS) < TERM_TABLE_SIZE and "s0" not in body:
-                    _TERM_KEYS[body] = key, support
-            else:
-                key, support = entry
-            universe = universe or support  # the first term's, unless declared
-            if support != universe:
-                raise ValueError
-            coeff = int(digits or 1)
-            yield key, -coeff if sign == "-" else coeff
-            pos = term.end()
-        if pos != len(text) or not pos:
-            raise ValueError
-
+    keys: list = []  # every term's key and coefficient, in text order
+    coefficients: list[int] = []
+    start, size = 0, len(text)
     try:
-        terms = _add_pairs({}, pairs())
+        while True:
+            end = start + _WINDOW
+            # Stepped `)` by `)`: a search for `)-` could run to the end each time.
+            while end < size:
+                end = text.find(")", end) + 1 or size
+                if text[end:end + 8].lstrip().startswith(("+", "-")):
+                    break
+            # A cut follows a `)`, so no whitespace run that joins tokens spans one.
+            tokens = text[start:end].split()
+            window = " ".join(tokens)
+            if _GLUE_RE.search(window) or not start and window.startswith("+"):
+                return None
+            start = end
+            pieces = "".join(tokens).replace(")+", ")\n+").replace(")-", ")\n-").split("\n")
+            bodies = list(map(str.lstrip, pieces, repeat("+-*0123456789")))
+            coefficients += map(coefficient, map(str.removesuffix, pieces, bodies))
+            entries = list(map(_TERM_KEYS.get, bodies))
+            if not all(entries):
+                entries = [entry or read(body) for entry, body in zip(entries, bodies)]
+            universe = universe or entries[0][1]  # the first term's, unless declared
+            if set(map(itemgetter(1), entries)) != {universe}:
+                raise ValueError
+            keys += map(itemgetter(0), entries)
+            if start >= size:
+                break
     except ValueError:  # from a check, mask_of, or int() of too many digits
         return None
+    del tokens, window, pieces, bodies, entries  # not held while the terms are summed
+    # One C-level pass, unless a key repeats or a coefficient is 0: then the
+    # terms are summed one by one.
+    terms = dict(zip(keys, coefficients))
+    if len(terms) < len(keys) or 0 in coefficients:
+        terms = _add_pairs({}, zip(keys, coefficients))
     return universe, terms
+
+
+# Most blocks a text may hold, counted before it is read: a factor
+# `zeta(b_1,...,b_k)` is one `zeta` and k - 1 commas, so legal text holds
+# text.count(",") + text.count("zeta") blocks.  Hoffman n = 9 (3,360,748)
+# fits; n = 10 (36,850,595; 149 MB of text) does not.
+INPUT_BUDGET_BLOCKS = 1 << 22
 
 
 def parse(text: str, universe: Optional[int] = None) -> Expression:
     """Parse expression text; `universe` declares the variable count n.
 
-    `_scan` is the one reader of legal text.  Only text it refuses is checked
-    for the bare "0", then handed to the token parser and
+    Text over INPUT_BUDGET_BLOCKS is refused with ValueError before it is
+    read.  `_scan` is the one reader of legal text.  Only text it refuses is
+    checked for the bare "0", then handed to the token parser and
     `validate_legal_term`, the one source of error messages, which raise the
     first ParseError.  If they find no fault the scanner refused legal text,
     a defect, and RuntimeError is raised.
     """
+    blocks = text.count(",") + text.count("zeta")
+    if blocks > INPUT_BUDGET_BLOCKS:
+        raise ValueError(f"input refused: {blocks} blocks > budget {INPUT_BUDGET_BLOCKS} blocks")
     declared = full_universe(universe) if universe is not None else None
     scanned = _scan(text, declared)
     if scanned is not None:

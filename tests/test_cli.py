@@ -110,6 +110,37 @@ def test_closed_stdout_exits_two_quietly():
             assert (proc.returncode, proc.stderr) == (2, ""), (argv, unbuffered, proc.stderr)
 
 
+def test_input_over_budget_refused_before_it_is_read(tmp_path):
+    # One `zeta` and 2^22 commas (4 MB): 2^22 + 1 blocks by the count, one
+    # over the input budget.  Refused on the count, the child exited in
+    # 0.11-0.15 s at a 23 MB peak (Python 3.11.7); read in full, it ran 4.3
+    # s to its syntax error and peaked at 444 MB.  H_10's text (149 MB) took
+    # 25.8 s and 1,080 MB before its canonical refusal.  A child's peak RSS
+    # counts its parent's at the fork, so a small launcher starts the CLI and
+    # prints its exit code, wall time and peak (KiB on Linux) from os.wait4.
+    path = tmp_path / "over.txt"
+    path.write_text("zeta(" + "," * (1 << 22) + ")", encoding="utf-8")
+    launcher = (
+        "import os, subprocess, sys, time\n"
+        "start = time.perf_counter()\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "mzvident.cli", "verify", f"@{path}"],
+        capture_output=True,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        text=True,
+    )
+    code, wall, peak = proc.stdout.split()
+    assert proc.stderr == "error: input refused: 4194305 blocks > budget 4194304 blocks\n"
+    assert int(code) == 2
+    assert float(wall) < 2.0
+    assert int(peak) < 60 * 1024
+
+
 def test_non_ascii_digits_rejected(capsys):
     # U+0663 and U+0661, U+0662 are Arabic-Indic digits three, one and two.
     code, out, err = run(capsys, "normalize", "\u0663*zeta(s\u0661,s\u0662)")

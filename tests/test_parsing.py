@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -27,11 +28,12 @@ from mzvident.indexsets import (
     mask_of,
 )
 from mzvident.parsing import (
+    INPUT_BUDGET_BLOCKS,
     ParseError,
     _Parser,
     _TERM_KEYS,
-    _TERM_RE,
     _scan,
+    atom_text,
     expression_text,
     parse,
     parse_arglist,
@@ -258,6 +260,27 @@ def slow_parse(text, declared):
 @example("2 3*zeta(s1)")
 @example("zeta(s1) 2")
 @example("zeta(s1)-zeta(s 1)")
+# Texts split where a sign follows a `)`: each piece must still be a whole
+# term, and only the first may lack a sign.
+@example("zeta(s1)+-zeta(s2)")
+@example("zeta(s1)+3zeta(s2)")
+@example("zeta(s1)+*zeta(s2)")
+@example("+zeta(s1)")
+@example(")+zeta(s1)")
+@example("zeta(s1)+")
+@example("-")
+@example("zeta(s1)zeta(s2)")
+@example("3*-zeta(s1)")
+@example("zeta(s1)*2*zeta(s2)")
+@example("007*zeta(s1)")
+@example("-0*zeta(s1)")
+@example("zeta(s1)-zeta(s1)+zeta(s1)")
+# A body the term table lacks must be `zeta(` ... `)` around valid blocks.
+@example("zeta(s1")
+@example("zeta(s1s")
+@example("zeta(s1)s")
+@example("zetazeta(s1)")
+@example("zeta(s1)*zeta(s2")
 # Non-ASCII whitespace: EM SPACE and the FILE SEPARATOR control.
 @example("\u2003zeta(s1,\u2003s2)\u2003-\x1c2*zeta(s1)\x1c*\u2003zeta(s2)\x1c")
 @example("zeta(s\u20031)\x1c")
@@ -315,12 +338,11 @@ def test_legal_text_takes_the_scanner(n, seed):
         assert parse(legal) == expr, legal
 
 
-# The scan sums each term's (key, coefficient) pair as it is matched.  On the
-# text below (Python 3.11.7) a parse whose terms are all in the term table
-# peaks at 776,390 traced bytes (1,301,589 with no table; 1,590,281 if it
-# also collected the pairs in a list).  With the table empty a parse peaks at
-# 2,118,664-2,121,744 bytes and leaves 1,525,882-1,528,962 in the table's
-# 5,917 entries.
+# The scan reads the text a window at a time.  On the text below (Python
+# 3.11.7) a parse whose terms are all in the term table peaks at 551,135
+# traced bytes (934,468 with 64 KiB windows).  With the table empty a parse
+# peaks at 2,101,503 bytes and leaves 1,536,187 in the table's 5,917 entries
+# and the interpreter's free lists.
 H7_PARSE_PEAK_BYTES = 1_400_000
 H7_COLD_PARSE_PEAK_BYTES = 2_300_000
 H7_TERM_TABLE_BYTES = 1_700_000
@@ -445,7 +467,7 @@ def test_term_table_changes_no_parse(text):
     # Each text parses as the token parser reads it with the term table
     # empty, and again once its factor texts were met alone and under other
     # declared universes.
-    bodies = [term.group(3) for term in _TERM_RE.finditer("".join(text.split()))]
+    bodies = re.findall(r"zeta\([^)]*\)(?:\*zeta\([^)]*\))*", "".join(text.split()))
     for declared in (None, full_universe(3)):
         want = slow_parse(text, declared)
         _TERM_KEYS.clear()
@@ -511,6 +533,57 @@ def test_term_table_is_bounded():
     _TERM_KEYS.clear()  # and cold: one parse stores the first TERM_TABLE_SIZE
     assert parse(text) == expr
     assert list(_TERM_KEYS) == bodies[:TERM_TABLE_SIZE]
+
+
+def test_multi_window_text_reads_as_the_reference():
+    # Two signed copies of H_6's terms, several windows long.  Every term
+    # with 3 in both copies cancels across a cut; the first term (2 - 1)
+    # cancels against its zero-padded spelling, never stored, so a miss
+    # among hits; the second (3 - 3 + 4 - 3) is met again in the last
+    # window, which ends at the text's end, with or without trailing space.
+    window = mzvident.parsing._WINDOW
+    bodies = ["*".join(map(atom_text, term)) for term in hoffman_identity(6).terms]
+    plus = " + ".join(f"{k}*{b}" for k, b in zip(itertools.cycle((2, 3, 5)), bodies))
+    minus = " - ".join(f"{k}*{b}" for k, b in zip(itertools.cycle((1, 3, 5)), bodies))
+    text = f"{plus} - zeta(s01,s2,s3,s4,s5,s6) - {minus} + 4*{bodies[1]} - 3*{bodies[1]}"
+    assert bodies[0] == "zeta(s1,s2,s3,s4,s5,s6)"
+    assert len(text) > 3 * window and text.rindex(bodies[1]) - text.index(bodies[1]) > window
+    universe = full_universe(6)
+    want = slow_parse(text, None)
+    assert want[0] == universe and 0 < len(want[1]) < len(bodies)
+    assert (tuple(blk(j) for j in range(1, 7)),) not in want[1]
+    assert want[1][(tuple(blk(j) for j in (1, 2, 3, 4, 6, 5)),)] == 1
+
+    def check():
+        for variant in (text, text + " \n"):
+            assert _scan(variant) == want
+            assert parse(variant, 6) == Expression(universe, want[1])
+
+    _TERM_KEYS.clear()
+    check()  # cold: the first parse stores the bodies
+    assert list(_TERM_KEYS) == bodies  # the padded spelling is never stored
+    check()  # warm
+    # Full: 500 places left before the parse, so its later windows miss.
+    _TERM_KEYS.clear()
+    _TERM_KEYS.update((f"zeta(s{i})", None) for i in range(TERM_TABLE_SIZE - 500))
+    check()
+    assert len(_TERM_KEYS) == TERM_TABLE_SIZE
+    _TERM_KEYS.clear()
+
+
+def test_input_budget_is_checked_before_reading(monkeypatch):
+    # The count is the legal text's block count: one per `zeta` and comma.
+    over = "zeta(" + "," * INPUT_BUDGET_BLOCKS + ")"
+    with pytest.raises(ValueError) as info:
+        parse(over)
+    assert str(info.value) == "input refused: 4194305 blocks > budget 4194304 blocks"
+    assert not isinstance(info.value, ParseError)
+    monkeypatch.setattr(mzvident.parsing, "INPUT_BUDGET_BLOCKS", 4)
+    assert parse("zeta(s1,s2,s3,s4)") == Expression(blk(1, 2, 3, 4), {((blk(1), blk(2), blk(3), blk(4)),): 1})
+    for text in ("zeta(s1,s2,s3,s4,s5)", "zeta(s1)*zeta(s2)*zeta(s3)*zeta(s4)*zeta(s5)",
+                 "zeta(s1,s2)*zeta(s3,s4,s5)", "zeta(,,,,", "zetazetazetazetazeta"):
+        with pytest.raises(ValueError, match="^input refused: 5 blocks > budget 4 blocks$"):
+            parse(text)
 
 
 def test_parse_declared_universe_must_cover():
