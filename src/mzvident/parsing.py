@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .algebra import (
     CanonicalForm,
@@ -65,66 +65,67 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
     # Every non-space character starts some match, so the matches tile the
     # text up to its trailing whitespace; an error is reported at the end of
     # the previous token.
-    tokens = []
     for m in iter(_TOKEN_RE.scanner(text).match, None):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())
-        value = m.group("varidx") if kind == "var" else m.group(kind)
-        tokens.append((kind, value, m.start(kind)))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+        yield kind, m.group("varidx") if kind == "var" else m.group(kind), m.start(kind)
+    yield "eof", "", len(text)
 
 
 class _Parser:
+    """Predictive parser of the grammar, holding one lookahead token.
+
+    A token is read when the one before it is consumed, so a fault is raised
+    before any token past it is read, and `parse_expr` yields each term as it
+    ends: nothing is held but the lookahead and the current term.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+        self.tok = next(self.tokens)
 
     def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
+        """The lookahead token, replaced by the one after it; eof stays."""
+        tok = self.tok
+        self.tok = next(self.tokens, tok)
         return tok
 
     def expect(self, kind: str, value: Optional[str] = None) -> tuple[str, str, int]:
-        tok = self.next()
+        tok = self.tok
         if tok[0] != kind or (value is not None and tok[1] != value):
             want = value or kind
             raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
+        return self.next()
 
     def parse_arg(self) -> int:
-        """arg := var { '+' var } -> block mask."""
-        indices = []
+        """arg := var { '+' var } -> block mask, each variable checked where it stands."""
+        mask = 0
         while True:
-            kind, val, pos = self.expect("var")
+            _, val, pos = self.expect("var")
             try:
                 idx = int(val)
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"variable index out of range 1..{MAX_INDEX}", pos) from None
             if idx == 0:
                 raise ParseError("variable index must be >= 1", pos)
-            indices.append(idx)
-            if self.peek()[:2] == ("op", "+"):
-                self.next()
-            else:
-                break
-        try:
-            return mask_of(indices)
-        except ValueError as e:
-            raise ParseError(str(e), pos) from None
+            if idx > MAX_INDEX:
+                raise ParseError(f"index {idx} out of range 1..{MAX_INDEX}", pos)
+            if mask >> (idx - 1) & 1:
+                raise ParseError(f"duplicate index {idx}", pos)
+            mask |= 1 << (idx - 1)
+            if self.tok[:2] != ("op", "+"):
+                return mask
+            self.next()
 
     def parse_args(self) -> ZetaAtom:
         """arg { ',' arg } -> tuple of block masks."""
         blocks = [self.parse_arg()]
-        while self.peek()[:2] == ("op", ","):
+        while self.tok[:2] == ("op", ","):
             self.next()
             blocks.append(self.parse_arg())
         return tuple(blocks)
@@ -138,7 +139,7 @@ class _Parser:
 
     def parse_term(self) -> tuple[int, list[ZetaAtom]]:
         coeff = 1
-        if self.peek()[0] == "int":
+        if self.tok[0] == "int":
             _, digits, pos = self.next()
             try:
                 coeff = int(digits)
@@ -146,29 +147,25 @@ class _Parser:
                 raise ParseError("coefficient too long", pos) from None
             self.expect("op", "*")
         atoms = [self.parse_factor()]
-        while self.peek()[:2] == ("op", "*"):
+        while self.tok[:2] == ("op", "*"):
             self.next()
             atoms.append(self.parse_factor())
         return coeff, atoms
 
-    def parse_expr(self) -> tuple[list[tuple[int, list[ZetaAtom]]], list[int]]:
-        """(coefficient, atoms) entries and the start position of each term."""
-        entries = []
-        starts = []
+    def parse_expr(self) -> Iterator[tuple[int, list[ZetaAtom], int]]:
+        """Each term's (coefficient, atoms, start position), yielded as the term ends."""
         sign = 1
-        if self.peek()[:2] == ("op", "-"):
+        if self.tok[:2] == ("op", "-"):
             self.next()
             sign = -1
-        starts.append(self.peek()[2])
-        coeff, atoms = self.parse_term()
-        entries.append((sign * coeff, atoms))
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            sign = 1 if self.next()[1] == "+" else -1
-            starts.append(self.peek()[2])
+        while True:
+            start = self.tok[2]
             coeff, atoms = self.parse_term()
-            entries.append((sign * coeff, atoms))
+            yield sign * coeff, atoms, start
+            if self.tok[0] != "op" or self.tok[1] not in "+-":
+                break
+            sign = 1 if self.next()[1] == "+" else -1
         self.expect("eof")
-        return entries, starts
 
 
 _ARG_RE = re.compile(r"s[0-9]+(?:\+s[0-9]+)*")
@@ -338,10 +335,11 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
 
     Text over INPUT_BUDGET_BLOCKS is refused with ValueError before it is
     read.  `_scan` is the one reader of legal text.  Only text it refuses is
-    checked for the bare "0", then handed to the token parser and
-    `validate_legal_term`, the one source of error messages, which raise the
-    first ParseError.  If they find no fault the scanner refused legal text,
-    a defect, and RuntimeError is raised.
+    checked for the bare "0", then read again, term by term, by the token
+    parser and `validate_legal_term`, the one source of error messages,
+    which raise the first fault in text order as a ParseError; a term's
+    variables and legality are checked where the term ends.  If they find no
+    fault the scanner refused legal text, a defect, and RuntimeError is raised.
     """
     blocks = text.count(",") + text.count("zeta")
     if blocks > INPUT_BUDGET_BLOCKS:
@@ -352,16 +350,14 @@ def parse(text: str, universe: Optional[int] = None) -> Expression:
         return Expression(*scanned)
     if text.strip() == "0":
         return Expression(declared or 0, {})
-    entries, starts = _Parser(text).parse_expr()
-    supports = [atom_support(sum(atoms, ())) for _, atoms in entries]  # all blocks' union
-    inferred = supports[0]
-    for s, pos in zip(supports, starts):
-        if s != inferred:
+    first = None
+    for _, atoms, pos in _Parser(text).parse_expr():
+        support = atom_support(sum(atoms, ()))  # all blocks' union
+        first = first or support
+        if support != first:
             raise ParseError("terms over different variable sets", pos)
-    universe = declared or inferred
-    for (_, atoms), pos in zip(entries, starts):
         try:
-            validate_legal_term(atoms, universe)
+            validate_legal_term(atoms, declared or first)
         except LegalityError as e:
             raise ParseError(str(e), pos) from None
     raise RuntimeError("the term scanner refused legal text")

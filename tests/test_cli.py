@@ -110,35 +110,66 @@ def test_closed_stdout_exits_two_quietly():
             assert (proc.returncode, proc.stderr) == (2, ""), (argv, unbuffered, proc.stderr)
 
 
-def test_input_over_budget_refused_before_it_is_read(tmp_path):
-    # One `zeta` and 2^22 commas (4 MB): 2^22 + 1 blocks by the count, one
-    # over the input budget.  Refused on the count, the child exited in
-    # 0.11-0.15 s at a 23 MB peak (Python 3.11.7); read in full, it ran 4.3
-    # s to its syntax error and peaked at 444 MB.  H_10's text (149 MB) took
-    # 25.8 s and 1,080 MB before its canonical refusal.  A child's peak RSS
-    # counts its parent's at the fork, so a small launcher starts the CLI and
-    # prints its exit code, wall time and peak (KiB on Linux) from os.wait4.
-    path = tmp_path / "over.txt"
-    path.write_text("zeta(" + "," * (1 << 22) + ")", encoding="utf-8")
-    launcher = (
-        "import os, subprocess, sys, time\n"
-        "start = time.perf_counter()\n"
-        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-        "_, status, usage = os.wait4(proc.pid, 0)\n"
-        "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)\n"
-    )
+# A child's peak RSS counts its parent's at the fork, so a small launcher
+# starts the CLI and prints its exit code, wall time and peak (KiB on Linux)
+# from os.wait4.
+_LAUNCHER = (
+    "import os, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)\n"
+)
+
+
+def _verify_measured(path):
+    """`verify @path` in a fresh CLI process: exit code, wall time (s), peak (KiB), stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-m", "mzvident.cli", "verify", f"@{path}"],
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "mzvident.cli", "verify", f"@{path}"],
         capture_output=True,
         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         text=True,
     )
     code, wall, peak = proc.stdout.split()
-    assert proc.stderr == "error: input refused: 4194305 blocks > budget 4194304 blocks\n"
-    assert int(code) == 2
-    assert float(wall) < 2.0
-    assert int(peak) < 60 * 1024
+    return int(code), float(wall), int(peak), proc.stderr
+
+
+def test_input_over_budget_refused_before_it_is_read(tmp_path):
+    # One `zeta` and 2^22 commas (4 MB): 2^22 + 1 blocks by the count, one
+    # over the input budget.  Refused on the count, the child exited in
+    # 0.11-0.15 s at a 23 MB peak (Python 3.11.7); read in full, it ran 4.3
+    # s to its syntax error and peaked at 444 MB.  H_10's text (149 MB) took
+    # 25.8 s and 1,080 MB before its canonical refusal.
+    path = tmp_path / "over.txt"
+    path.write_text("zeta(" + "," * (1 << 22) + ")", encoding="utf-8")
+    code, wall, peak, err = _verify_measured(path)
+    assert err == "error: input refused: 4194305 blocks > budget 4194304 blocks\n"
+    assert code == 2
+    assert wall < 2.0
+    assert peak < 60 * 1024
+
+
+def test_refusals_stop_at_the_first_fault(tmp_path):
+    # The token parser that explains a refusal reads one token past what it
+    # has parsed and holds one term, so a refusal costs the text up to its
+    # fault.  At the budget, `zeta(` + (2^22 - 1) commas + `)` (4 MB) is
+    # refused at position 5 in 0.15 s at a 59 MB peak, the scanner's copies
+    # of its one window; tokenized whole first, it took 2.5 s and 444 MB.
+    # H_8 without its final `)` is read to its end in 0.95 s at 25 MB, where
+    # a token list took 1.03 s and 125 MB and the legal H_8's verify takes
+    # 0.38 s and 47 MB (Python 3.11.7).
+    budget = tmp_path / "budget.txt"
+    budget.write_text("zeta(" + "," * ((1 << 22) - 1) + ")", encoding="utf-8")
+    cut = tmp_path / "h8cut.txt"
+    cut.write_text(serialize(hoffman_identity(8))[:-1], encoding="utf-8")
+    for path, message, most_s, most_mb in (
+        (budget, "expected 'var', found ',' (at position 5)", 1.5, 120),
+        (cut, "expected ')', found 'end of input' (at position 1507396)", 5.0, 60),
+    ):
+        code, wall, peak, err = _verify_measured(path)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert wall < most_s and peak < most_mb * 1024, (path.name, wall, peak)
 
 
 def test_non_ascii_digits_rejected(capsys):

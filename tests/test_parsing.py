@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _references import build, partition_sort_key, random_expression
+from _references import build, partition_sort_key, random_expression, random_legal_term
 import mzvident.parsing
 from mzvident.algebra import (
     CanonicalForm,
@@ -148,6 +148,12 @@ MALFORMED = [
     ("zeta(s1)zeta(s2)", "expected 'eof', found 'zeta'", 8),
     ("   ", "expected 'zeta', found 'end of input'", 3),
     ("", "expected 'zeta', found 'end of input'", 0),
+    # A block's bad index or repeated variable is reported at that variable.
+    ("zeta(s64+s1)", "index 64 out of range 1..63", 5),
+    ("zeta(s1+s1+s2)", "duplicate index 1", 8),
+    # The first fault in text order, a term's legality checked where it ends.
+    ("zeta(s1)*zeta(s1) + zeta(", "variable reused: s1", 0),
+    ("zeta(s1,) #", "expected 'var', found ')'", 8),
 ]
 
 
@@ -188,6 +194,46 @@ def test_parse_rejects_non_ascii_digits():
         assert str(info.value) == f"unexpected character {char!r} (at position {pos})"
 
 
+# Replacements that make any token of a legal term a fault, and the tokens of
+# a term's text.
+FAULTS = ["", "#", "s0", "s64"]
+TERM_TOKEN = re.compile(r"s[0-9]+|[0-9]+|zeta|.")
+
+
+@given(st.integers(1, 6), st.integers(0, 10_000))
+@settings(max_examples=100, deadline=None)
+def test_first_fault_in_text_order(n, seed):
+    # Two terms of a legal text each get a fault: any token of the earlier
+    # term, and a token past the first of the later one, so neither the sign
+    # between them nor the token after it changes.  The parser stops at the
+    # first fault in text order, checking a term's legality where it ends,
+    # and never reads the later fault: the message is the earlier one's alone.
+    rng = random.Random(seed)
+    terms = [(rng.choice((1, -1, 2, -3)), random_legal_term(full_universe(n), rng))
+             for _ in range(rng.randint(2, 5))]
+    tokens = [TERM_TOKEN.findall(f"{abs(c)}*" * (abs(c) > 1) + "*".join(map(atom_text, atoms)))
+              for c, atoms in terms]
+
+    def text(edits):
+        """The terms' text, with token k of term t replaced by r for each t: (k, r) in edits."""
+        pieces = []
+        for t, ((c, _), toks) in enumerate(zip(terms, tokens)):
+            if t in edits:
+                k, r = edits[t]
+                toks = toks[:k] + [r] + toks[k + 1:]
+            pieces.append(("-" if c < 0 else "+") + " " + "".join(toks))
+        return " ".join(pieces).removeprefix("+ ")
+
+    i, j = sorted(rng.sample(range(len(terms)), 2))
+    earlier = {i: (rng.randrange(len(tokens[i])), rng.choice(FAULTS))}
+    later = {j: (rng.randrange(1, len(tokens[j])), rng.choice(FAULTS))}
+    with pytest.raises(ParseError) as alone:
+        parse(text(earlier))
+    with pytest.raises(ParseError) as both:
+        parse(text({**earlier, **later}))
+    assert str(both.value) == str(alone.value), (text(earlier), text(later))
+
+
 # Tokens of expression text, valid and not, for the scanner properties.
 SOUP = ["zeta", "(", ")", ",", "+", "-", "*", "s0", "s1", "s2", "s3", "s64", "s01",
         "2", "0", "12", " ", "\t", "x"]
@@ -225,7 +271,7 @@ def token_soup(draw):
 def slow_parse(text, declared):
     """(universe, terms) from the token parser and the reference `build`, None on any error."""
     try:
-        entries, _ = _Parser(text).parse_expr()
+        entries = [(coeff, atoms) for coeff, atoms, _ in _Parser(text).parse_expr()]
     except ParseError:
         return None
     # The set of each term's variables as a mask, by summing its distinct bits.
@@ -600,6 +646,8 @@ def test_parse_arglist():
     assert parse_arglist("s1,s2+s3") == (blk(1), blk(2, 3))
     with pytest.raises(ParseError):
         parse_arglist("s1,,s2")
+    with pytest.raises(ParseError, match=r"^index 64 out of range 1\.\.63 \(at position 0\)$"):
+        parse_arglist("s64+s1")
 
 
 def test_serialize_empty_canonical():
